@@ -42,11 +42,51 @@ from .verify import rel_error, run_all
 
 __all__ = ["main", "load_sweep_csv", "tabulated_from_sweep"]
 
-SWEEP_COLUMNS = (
-    ["omega", "kx", "ky", "kz", "omega_prime", "kpx", "kpy", "kpz"]
-    + [f"sp{i}{j}_{p}" for i in range(3) for j in range(3) for p in ("re", "im")]
-    + ["residual"]
-)
+# Output layouts.  Every command builds JSON-ready records once; a layout
+# lists (record key, CSV column prefix, kind), the kind gives the CSV
+# column suffixes, and the record value, flattened, fills those columns.
+# Dotted keys reach into nested objects, and a None on the way leaves the
+# cells blank.
+_SUFFIXES = {
+    "scalar": [""],
+    "vector": ["x", "y", "z"],
+    "complex": ["_re", "_im"],
+    "complex vector": [f"{a}_{p}" for a in "xyz" for p in ("re", "im")],
+    "complex matrix": [f"{i}{j}_{p}" for i in range(3) for j in range(3) for p in ("re", "im")],
+}
+
+_POINT = [
+    ("omega", "omega", "scalar"),
+    ("k", "k", "vector"),
+    ("omega_prime", "omega_prime", "scalar"),
+    ("k_prime", "kp", "vector"),
+]
+_TRANSFORM = _POINT + [
+    ("gamma", "gamma", "scalar"),
+    ("sigma", "s", "complex matrix"),
+    ("sigma_prime", "sp", "complex matrix"),
+    ("residual", "residual", "scalar"),
+]
+_SWEEP = _POINT + [("sigma_prime", "sp", "complex matrix"), ("residual", "residual", "scalar")]
+_OHM = _POINT + [
+    ("gamma", "gamma", "scalar"),
+    ("j", "j", "complex vector"),
+    ("rho", "rho", "complex"),
+    ("drift", "drift", "complex vector"),
+    ("textbook.drift", "tb", "complex vector"),
+    ("textbook.nonrel_drift", "nr", "complex vector"),
+    ("textbook.diff_generalized_textbook", "diff_generalized_textbook", "scalar"),
+    ("textbook.diff_generalized_nonrel", "diff_generalized_nonrel", "scalar"),
+    ("textbook.diff_textbook_nonrel", "diff_textbook_nonrel", "scalar"),
+]
+_VERIFY = [(name, name, "scalar") for name in ("name", "samples", "max_residual", "tolerance", "passed", "seconds")]
+
+
+def _columns(layout) -> list[str]:
+    return [prefix + suffix for _, prefix, kind in layout for suffix in _SUFFIXES[kind]]
+
+
+SWEEP_COLUMNS = _columns(_SWEEP)
 
 _CONFIG_KEYS = {"c", "model", "velocity", "grid", "output", "seed", "samples", "E"}
 
@@ -58,7 +98,7 @@ class ConfigError(OhmcovError):
 
 
 # ---------------------------------------------------------------------------
-# small parsing helpers
+# options: flags, then the config file, then defaults
 
 
 def _floats(text: str, n: int, name: str) -> list[float]:
@@ -78,8 +118,36 @@ def _float_list(text: str, name: str) -> list[float]:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _vec_list(text: str, name: str) -> list[list[float]]:
-    return [_floats(part, 3, name) for part in text.split(";") if part.strip()]
+# JSON types: bool is a subclass of int in Python but never a number here.
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_list(x, n: int | None, item) -> bool:
+    return isinstance(x, list) and (n is None or len(x) == n) and all(item(e) for e in x)
+
+
+def _is_vec3(x) -> bool:
+    return _is_list(x, 3, _is_number)
+
+
+def _option(flag, cfg: dict, key: str, valid, what: str, default):
+    """The flag's value if given, else cfg[key] if present, else default.
+
+    flag arrives parsed; a config value must pass valid, or ConfigError
+    names the key and the expected type what.
+    """
+    if flag is not None:
+        return flag
+    if key not in cfg:
+        return default
+    if not valid(cfg[key]):
+        raise ConfigError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
+    return cfg[key]
 
 
 def _load_config(path: str) -> dict:
@@ -98,57 +166,37 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _resolve_units(args, cfg: dict) -> UnitsConfig:
-    if args.c is not None:
-        return UnitsConfig(args.c)
-    if "c" in cfg:
-        if not isinstance(cfg["c"], (int, float)) or isinstance(cfg["c"], bool):
-            raise ConfigError(f"config key 'c' must be a number, got {cfg['c']!r}")
-        return UnitsConfig(float(cfg["c"]))
-    return UnitsConfig()
+def _setup(args, default_format: str) -> tuple[dict, UnitsConfig, str, str | None]:
+    """Config file, units and output destination, which every command takes."""
+    cfg = _load_config(args.config) if args.config else {}
+    units = UnitsConfig(_option(args.c, cfg, "c", _is_number, "a number", 1.0))
+    out = _option(None, cfg, "output", lambda x: isinstance(x, dict), "an object", {})
+    fmt = _option(args.format, out, "format", lambda x: x in ("csv", "structured"), "csv or structured", default_format)
+    path = _option(args.output, out, "path", lambda x: isinstance(x, str), "a string", None)
+    return cfg, units, fmt, path
 
 
-def _resolve_model(args, cfg: dict) -> MaterialModel:
-    if args.model is not None:
-        return load_model(args.model)
-    spec = cfg.get("model")
+def _model_and_velocity(args, cfg: dict) -> tuple[MaterialModel, np.ndarray]:
+    spec = _option(args.model, cfg, "model", lambda x: isinstance(x, (str, dict)), "a path or an inline model", None)
     if spec is None:
         raise ConfigError("no conductivity model given (use --model or the 'model' config key)")
     if isinstance(spec, dict):
-        return model_from_dict(spec)
-    if isinstance(spec, str):
-        path = Path(spec)
-        if not path.is_absolute():
-            path = Path(cfg.get("__dir__", ".")) / path
-        return load_model(path)
-    raise ConfigError(f"config key 'model' must be a path or an inline model, got {spec!r}")
-
-
-def _resolve_velocity(args, cfg: dict) -> np.ndarray:
-    if args.velocity is not None:
-        return np.array(_floats(args.velocity, 3, "--velocity"))
-    if "velocity" in cfg:
-        v = cfg["velocity"]
-        if not (isinstance(v, list) and len(v) == 3 and all(isinstance(x, (int, float)) for x in v)):
-            raise ConfigError(f"config key 'velocity' must be a 3-vector, got {v!r}")
-        return np.array([float(x) for x in v])
-    return np.zeros(3)
+        model = model_from_dict(spec)
+    else:
+        # a path from the config file is relative to that file; joining keeps an absolute one
+        model = load_model(spec if args.model is not None else Path(cfg["__dir__"]) / spec)
+    flag = None if args.velocity is None else _floats(args.velocity, 3, "--velocity")
+    v = _option(flag, cfg, "velocity", _is_vec3, "3 numbers", [0.0, 0.0, 0.0])
+    return model, np.array(v, dtype=float)
 
 
 def _resolve_grid(args, cfg: dict) -> tuple[list[float], list[list[float]]]:
-    grid = cfg.get("grid", {})
-    if grid and not isinstance(grid, dict):
-        raise ConfigError(f"config key 'grid' must be an object, got {grid!r}")
-    omegas = _float_list(args.omega, "--omega") if args.omega is not None else grid.get("omega", [])
-    ks = _vec_list(args.k, "--k") if args.k is not None else grid.get("k", [])
-    if not isinstance(omegas, list) or not all(isinstance(w, (int, float)) for w in omegas):
-        raise ConfigError("grid omega values must be numbers")
-    kvecs = []
-    for kv in ks:
-        if not (isinstance(kv, list) and len(kv) == 3 and all(isinstance(x, (int, float)) for x in kv)):
-            raise ConfigError(f"grid k entries must be 3-vectors, got {kv!r}")
-        kvecs.append([float(x) for x in kv])
-    return [float(w) for w in omegas], kvecs
+    grid = _option(None, cfg, "grid", lambda x: isinstance(x, dict), "an object", {})
+    flag = None if args.omega is None else _float_list(args.omega, "--omega")
+    omegas = _option(flag, grid, "omega", lambda x: _is_list(x, None, _is_number), "a list of numbers", [])
+    flag = None if args.k is None else [_floats(part, 3, "--k") for part in args.k.split(";") if part.strip()]
+    ks = _option(flag, grid, "k", lambda x: _is_list(x, None, _is_vec3), "a list of 3-vectors", [])
+    return [float(w) for w in omegas], [[float(x) for x in kv] for kv in ks]
 
 
 def _resolve_single_point(args, cfg: dict) -> Wavevector4:
@@ -158,73 +206,54 @@ def _resolve_single_point(args, cfg: dict) -> Wavevector4:
     return Wavevector4(omegas[0], ks[0])
 
 
-def _resolve_output(args, cfg: dict, default_format: str) -> tuple[str, str | None]:
-    out = cfg.get("output", {})
-    if out and not isinstance(out, dict):
-        raise ConfigError(f"config key 'output' must be an object, got {out!r}")
-    fmt = args.format or out.get("format", default_format)
-    if fmt not in ("csv", "structured"):
-        raise ConfigError(f"output format must be csv or structured, got {fmt!r}")
-    path = args.output or out.get("path")
-    return fmt, path
-
-
 def _resolve_efield(args, cfg: dict) -> np.ndarray:
-    if args.E is not None:
-        return np.asarray(_floats(args.E, 3, "--E"), dtype=complex)
-    e = cfg.get("E")
+    flag = None if args.E is None else _floats(args.E, 3, "--E")
+    valid = lambda x: _is_list(x, 3, lambda c: _is_number(c) or _is_list(c, 2, _is_number))  # noqa: E731
+    e = _option(flag, cfg, "E", valid, "3 numbers or [re, im] pairs", None)
     if e is None:
         raise ConfigError("ohm needs an electric field amplitude (--E or the 'E' config key)")
-    if not (isinstance(e, list) and len(e) == 3):
-        raise ConfigError(f"config key 'E' must hold 3 components, got {e!r}")
-    out = []
-    for i, comp in enumerate(e):
-        if isinstance(comp, (int, float)) and not isinstance(comp, bool):
-            out.append(complex(comp))
-        elif isinstance(comp, list) and len(comp) == 2:
-            out.append(complex(float(comp[0]), float(comp[1])))
-        else:
-            raise ConfigError(f"E[{i}] must be a number or a [re, im] pair, got {comp!r}")
-    return np.asarray(out, dtype=complex)
+    return np.array([complex(*c) if isinstance(c, list) else complex(c) for c in e])
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output
 
 
-def _pairs(matrix: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
+def _pairs(values: np.ndarray) -> list:
+    """Complex scalars, vectors or matrices as nested [re, im] lists."""
+    return np.stack([np.real(values), np.imag(values)], axis=-1).tolist()
 
 
-def _vec_pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
+def _cells(record: dict, key: str, kind: str) -> list:
+    value = record
+    for part in key.split("."):
+        value = None if value is None else value[part]
+    if value is None:
+        return [""] * len(_SUFFIXES[kind])
+    cells = [value]
+    while isinstance(cells[0], list):
+        cells = [x for part in cells for x in part]
+    return cells
 
 
-def _flat_pairs(matrix: np.ndarray) -> list[float]:
-    out = []
-    for row in np.asarray(matrix, dtype=complex):
-        for z in row:
-            out.extend((float(z.real), float(z.imag)))
-    return out
-
-
-def _emit(text: str, path: str | None) -> None:
+def _emit(fmt: str, path: str | None, doc, layout, records: list[dict]) -> None:
+    """Write doc as JSON, or the records as CSV rows in the layout's columns."""
+    if fmt == "structured":
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_columns(layout))
+        writer.writerows([c for key, _, kind in layout for c in _cells(r, key, kind)] for r in records)
+        text = buf.getvalue()
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _point_fields(kw: Wavevector4, kw_p: Wavevector4) -> list[float]:
-    return [kw.omega, *kw.kvec.tolist(), kw_p.omega, *kw_p.kvec.tolist()]
+def _point(kw: Wavevector4, kw_p: Wavevector4) -> dict:
+    return {"omega": kw.omega, "k": kw.kvec.tolist(), "omega_prime": kw_p.omega, "k_prime": kw_p.kvec.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -241,60 +270,33 @@ def _transform_point(model: MaterialModel, kw: Wavevector4, v: np.ndarray, units
 
 
 def cmd_transform(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    units = _resolve_units(args, cfg)
-    model = _resolve_model(args, cfg)
-    v = _resolve_velocity(args, cfg)
+    cfg, units, fmt, path = _setup(args, "structured")
+    model, v = _model_and_velocity(args, cfg)
     kw = _resolve_single_point(args, cfg)
-    fmt, path = _resolve_output(args, cfg, default_format="structured")
 
     try:
         sample, direct, residual = _transform_point(model, kw, v, units)
     except (BoostResonance, StaticFrequency, OutOfRange) as exc:
         raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
-    gamma = BoostParams(v, units).gamma
-    if fmt == "structured":
-        record = {
-            "omega": kw.omega,
-            "k": kw.kvec.tolist(),
-            "omega_prime": direct.at.omega,
-            "k_prime": direct.at.kvec.tolist(),
-            "gamma": gamma,
-            "sigma": _pairs(sample.sigma),
-            "sigma_prime": _pairs(direct.sigma),
-            "residual": residual,
-        }
-        _emit(json.dumps(record, indent=2) + "\n", path)
-    else:
-        header = (
-            ["omega", "kx", "ky", "kz", "omega_prime", "kpx", "kpy", "kpz", "gamma"]
-            + [f"s{i}{j}_{p}" for i in range(3) for j in range(3) for p in ("re", "im")]
-            + [f"sp{i}{j}_{p}" for i in range(3) for j in range(3) for p in ("re", "im")]
-            + ["residual"]
-        )
-        row = (
-            _point_fields(kw, direct.at)
-            + [gamma]
-            + _flat_pairs(sample.sigma)
-            + _flat_pairs(direct.sigma)
-            + [residual]
-        )
-        _emit(_csv_text(header, [row]), path)
+    record = {
+        **_point(kw, direct.at),
+        "gamma": BoostParams(v, units).gamma,
+        "sigma": _pairs(sample.sigma),
+        "sigma_prime": _pairs(direct.sigma),
+        "residual": residual,
+    }
+    _emit(fmt, path, record, _TRANSFORM, [record])
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    units = _resolve_units(args, cfg)
-    model = _resolve_model(args, cfg)
-    v = _resolve_velocity(args, cfg)
+    cfg, units, fmt, path = _setup(args, "csv")
+    model, v = _model_and_velocity(args, cfg)
     omegas, ks = _resolve_grid(args, cfg)
     if not omegas or not ks:
         raise ConfigError("sweep needs at least one omega and one k (--omega/--k or the 'grid' config key)")
-    fmt, path = _resolve_output(args, cfg, default_format="csv")
     BoostParams(v, units)  # reject superluminal input before looping
 
-    rows = []
     records = []
     skipped = []
     for w, kv in product(omegas, ks):
@@ -304,43 +306,25 @@ def cmd_sweep(args) -> int:
         except (BoostResonance, StaticFrequency, OutOfRange) as exc:
             skipped.append((kw, f"{type(exc).__name__}: {exc}"))
             continue
-        rows.append(_point_fields(kw, direct.at) + _flat_pairs(direct.sigma) + [residual])
-        records.append(
-            {
-                "omega": kw.omega,
-                "k": kw.kvec.tolist(),
-                "omega_prime": direct.at.omega,
-                "k_prime": direct.at.kvec.tolist(),
-                "sigma_prime": _pairs(direct.sigma),
-                "residual": residual,
-            }
-        )
+        records.append({**_point(kw, direct.at), "sigma_prime": _pairs(direct.sigma), "residual": residual})
     for kw, reason in skipped:
         print(f"skipped omega={kw.omega!r} k={kw.kvec.tolist()!r}: {reason}", file=sys.stderr)
-    if not rows:
+    if not records:
         print("sweep produced no rows: every grid point was skipped", file=sys.stderr)
         return 3
-    if fmt == "csv":
-        _emit(_csv_text(SWEEP_COLUMNS, rows), path)
-    else:
-        doc = {
-            "rows": records,
-            "skipped": [
-                {"omega": kw.omega, "k": kw.kvec.tolist(), "reason": reason} for kw, reason in skipped
-            ],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", path)
+    doc = {
+        "rows": records,
+        "skipped": [{"omega": kw.omega, "k": kw.kvec.tolist(), "reason": reason} for kw, reason in skipped],
+    }
+    _emit(fmt, path, doc, _SWEEP, records)
     return 0
 
 
 def cmd_ohm(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    units = _resolve_units(args, cfg)
-    model = _resolve_model(args, cfg)
-    v = _resolve_velocity(args, cfg)
+    cfg, units, fmt, path = _setup(args, "structured")
+    model, v = _model_and_velocity(args, cfg)
     kw = _resolve_single_point(args, cfg)
     evec = _resolve_efield(args, cfg)
-    fmt, path = _resolve_output(args, cfg, default_format="structured")
 
     bp = BoostParams(v, units)
     kw_p = transform_wavevector(bp.matrix(), kw, units)
@@ -363,8 +347,8 @@ def cmd_ohm(args) -> int:
         tb = textbook_ohm(s0, v, fields, units)
         nr = textbook_ohm_nr(s0, v, fields)
         textbook = {
-            "drift": _vec_pairs(tb),
-            "nonrel_drift": _vec_pairs(nr),
+            "drift": _pairs(tb),
+            "nonrel_drift": _pairs(nr),
             "diff_generalized_textbook": float(np.max(np.abs(gen.drift_current - tb))),
             "diff_generalized_nonrel": float(np.max(np.abs(gen.drift_current - nr))),
             "diff_textbook_nonrel": float(np.max(np.abs(tb - nr))),
@@ -372,85 +356,30 @@ def cmd_ohm(args) -> int:
     else:
         print("conductivity is not scalar at the boosted point; textbook outputs omitted", file=sys.stderr)
 
-    if fmt == "structured":
-        record = {
-            "omega": kw.omega,
-            "k": kw.kvec.tolist(),
-            "omega_prime": kw_p.omega,
-            "k_prime": kw_p.kvec.tolist(),
-            "gamma": bp.gamma,
-            "j": _vec_pairs(gen.jvec),
-            "rho": [float(gen.rho.real), float(gen.rho.imag)],
-            "drift": _vec_pairs(gen.drift_current),
-            "textbook": textbook,
-        }
-        _emit(json.dumps(record, indent=2) + "\n", path)
-    else:
-        header = (
-            ["omega", "kx", "ky", "kz", "omega_prime", "kpx", "kpy", "kpz", "gamma"]
-            + [f"j{a}_{p}" for a in "xyz" for p in ("re", "im")]
-            + ["rho_re", "rho_im"]
-            + [f"drift{a}_{p}" for a in "xyz" for p in ("re", "im")]
-            + [f"tb{a}_{p}" for a in "xyz" for p in ("re", "im")]
-            + [f"nr{a}_{p}" for a in "xyz" for p in ("re", "im")]
-            + ["diff_generalized_textbook", "diff_generalized_nonrel", "diff_textbook_nonrel"]
-        )
-        row = _point_fields(kw, kw_p) + [bp.gamma]
-        for z in gen.jvec:
-            row.extend((float(z.real), float(z.imag)))
-        row.extend((float(gen.rho.real), float(gen.rho.imag)))
-        for z in gen.drift_current:
-            row.extend((float(z.real), float(z.imag)))
-        if textbook is None:
-            row.extend([""] * 15)
-        else:
-            for key in ("drift", "nonrel_drift"):
-                for re_im in textbook[key]:
-                    row.extend(re_im)
-            row.extend(
-                (
-                    textbook["diff_generalized_textbook"],
-                    textbook["diff_generalized_nonrel"],
-                    textbook["diff_textbook_nonrel"],
-                )
-            )
-        _emit(_csv_text(header, [row]), path)
+    record = {
+        **_point(kw, kw_p),
+        "gamma": bp.gamma,
+        "j": _pairs(gen.jvec),
+        "rho": _pairs(gen.rho),
+        "drift": _pairs(gen.drift_current),
+        "textbook": textbook,
+    }
+    _emit(fmt, path, record, _OHM, [record])
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    units = _resolve_units(args, cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    samples = args.samples if args.samples is not None else int(cfg.get("samples", 1000))
+    cfg, units, fmt, path = _setup(args, "structured")
+    seed = _option(args.seed, cfg, "seed", _is_int, "an integer", 0)
+    samples = _option(args.samples, cfg, "samples", _is_int, "an integer", 1000)
     if samples <= 0:
         raise ConfigError(f"samples must be positive, got {samples}")
-    fmt, path = _resolve_output(args, cfg, default_format="structured")
 
     fault = 1e-6 if args.inject_fault else 0.0
     results = run_all(seed, samples, units, fault=fault)
-    if fmt == "structured":
-        doc = {
-            "seed": seed,
-            "samples": samples,
-            "passed": all(r.passed for r in results),
-            "suites": [
-                {
-                    "name": r.name,
-                    "samples": r.samples,
-                    "max_residual": r.max_residual,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                    "seconds": r.seconds,
-                }
-                for r in results
-            ],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", path)
-    else:
-        header = ["name", "samples", "max_residual", "tolerance", "passed", "seconds"]
-        rows = [[r.name, r.samples, r.max_residual, r.tolerance, r.passed, r.seconds] for r in results]
-        _emit(_csv_text(header, rows), path)
+    suites = [{key: getattr(r, key) for key, _, _ in _VERIFY} for r in results]
+    doc = {"seed": seed, "samples": samples, "passed": all(r.passed for r in results), "suites": suites}
+    _emit(fmt, path, doc, _VERIFY, suites)
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
@@ -473,20 +402,14 @@ def load_sweep_csv(source) -> list[dict]:
         raise ParseError(f"not a sweep table: header {reader.fieldnames!r}")
     records = []
     for row in reader:
-        sigma = np.array(
-            [
-                [complex(float(row[f"sp{i}{j}_re"]), float(row[f"sp{i}{j}_im"])) for j in range(3)]
-                for i in range(3)
-            ]
-        )
+        cells = {key: [float(row[prefix + s]) for s in _SUFFIXES[kind]] for key, prefix, kind in _SWEEP}
+        pairs = cells["sigma_prime"]
         records.append(
             {
-                "at": Wavevector4(float(row["omega"]), [float(row[a]) for a in ("kx", "ky", "kz")]),
-                "at_prime": Wavevector4(
-                    float(row["omega_prime"]), [float(row[a]) for a in ("kpx", "kpy", "kpz")]
-                ),
-                "sigma_prime": sigma,
-                "residual": float(row["residual"]),
+                "at": Wavevector4(cells["omega"][0], cells["k"]),
+                "at_prime": Wavevector4(cells["omega_prime"][0], cells["k_prime"]),
+                "sigma_prime": np.array([complex(re, im) for re, im in zip(pairs[::2], pairs[1::2])]).reshape(3, 3),
+                "residual": cells["residual"][0],
             }
         )
     return records
@@ -511,35 +434,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(name: str, help: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--c", type=float, help="speed of light (default 1)")
         p.add_argument("--output", help="write data here instead of stdout")
         p.add_argument("--format", choices=("csv", "structured"), help="output format")
+        return p
 
-    def pointful(p: argparse.ArgumentParser) -> None:
-        common(p)
+    def pointful(name: str, help: str, handler) -> argparse.ArgumentParser:
+        p = common(name, help, handler)
         p.add_argument("--model", help="conductivity model file")
         p.add_argument("--velocity", help="frame velocity vx,vy,vz")
         p.add_argument("--omega", help="comma-separated frequencies")
         p.add_argument("--k", help="semicolon-separated k vectors, each kx,ky,kz")
+        return p
 
-    p = sub.add_parser("transform", help="boost the conductivity at one point")
-    pointful(p)
-    p.set_defaults(handler=cmd_transform)
-
-    p = sub.add_parser("sweep", help="boost the conductivity over a grid")
-    pointful(p)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("ohm", help="moving-medium current response at one point")
-    pointful(p)
+    pointful("transform", "boost the conductivity at one point", cmd_transform)
+    pointful("sweep", "boost the conductivity over a grid", cmd_sweep)
+    p = pointful("ohm", "moving-medium current response at one point", cmd_ohm)
     p.add_argument("--E", help="electric field amplitude ex,ey,ez (real; use a config file for complex)")
     p.add_argument("--textbook", action="store_true", help="fail instead of skipping the textbook formula when the conductivity is not scalar")
-    p.set_defaults(handler=cmd_ohm)
 
-    p = sub.add_parser("verify", help="run the randomized self checks")
-    common(p)
+    p = common("verify", "run the randomized self checks", cmd_verify)
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument("--samples", type=int, help="samples per suite (default 1000)")
     p.add_argument(
@@ -547,7 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="perturb the boost law by 1e-6 to prove the checks can fail",
     )
-    p.set_defaults(handler=cmd_verify)
     return parser
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvariantViolation, OutOfRange, ParseError
 from .response import require_dynamic
-from .minkowski import Wavevector4
+from .minkowski import Wavevector4, _checked
 
 __all__ = [
     "MaterialModel",
@@ -79,10 +79,7 @@ class ConstantScalar(MaterialModel):
     sigma0: complex
 
     def __post_init__(self) -> None:
-        s = complex(self.sigma0)
-        if not (np.isfinite(s.real) and np.isfinite(s.imag)):
-            raise InvariantViolation("sigma0 must be finite")
-        object.__setattr__(self, "sigma0", s)
+        object.__setattr__(self, "sigma0", complex(_checked(self.sigma0, (), complex, "sigma0")))
 
     def evaluate(self, kw: Wavevector4) -> np.ndarray:
         require_dynamic(kw.omega)
@@ -97,10 +94,8 @@ class Drude(MaterialModel):
     tau: float
 
     def __post_init__(self) -> None:
-        s = complex(self.sigma0)
+        s = complex(_checked(self.sigma0, (), complex, "sigma0"))
         tau = float(self.tau)
-        if not (np.isfinite(s.real) and np.isfinite(s.imag)):
-            raise InvariantViolation("sigma0 must be finite")
         if not (np.isfinite(tau) and tau > 0.0):
             raise InvariantViolation(f"relaxation time must be positive, got {self.tau!r}")
         object.__setattr__(self, "sigma0", s)
@@ -129,10 +124,7 @@ class DiagonalAnisotropic(MaterialModel):
             if isinstance(e, Drude):
                 normalized.append(e)
                 continue
-            z = complex(e)
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-                raise InvariantViolation(f"axis entry {i} must be finite")
-            normalized.append(z)
+            normalized.append(complex(_checked(e, (), complex, f"axis entry {i}")))
         object.__setattr__(self, "entries", tuple(normalized))
 
     def evaluate(self, kw: Wavevector4) -> np.ndarray:
@@ -174,11 +166,8 @@ class Tabulated(MaterialModel):
         for kw, sigma in samples:
             if not isinstance(kw, Wavevector4):
                 kw = Wavevector4(*kw)
-            s = np.asarray(sigma, dtype=complex)
-            if s.shape != (3, 3):
-                raise InvariantViolation(f"tabulated tensor at {kw!r} must be 3x3, got shape {s.shape}")
-            if not np.all(np.isfinite(s)):
-                raise InvariantViolation(f"tabulated tensor at {kw!r} has non-finite entries")
+            # named by index: formatting kw for every sample would cost more than the check
+            s = _checked(sigma, (3, 3), complex, f"tabulated tensor {len(cleaned)}")
             key = (kw.omega, *kw.kvec.tolist())
             if key in seen:
                 raise InvariantViolation(f"duplicate sample point {kw!r}")

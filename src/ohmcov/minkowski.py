@@ -50,12 +50,33 @@ ETA.setflags(write=False)
 # |v|/c must stay below 1 - SPEED_MARGIN so gamma stays representable.
 SPEED_MARGIN = 1e-12
 
-# Group membership tolerance, absolute on the unit-scale metric residual.
+# Group membership tolerance on the metric residual of a unit-scale
+# matrix; LorentzMatrix scales it by max(1, max|m|)^2 (see there).
 GROUP_TOL = 1e-12
 
 # Gate for user-supplied rotation matrices (looser than GROUP_TOL; a
 # rotation that fails this was never orthogonal to begin with).
 ROTATION_TOL = 1e-10
+
+
+def _checked(x, shape: tuple, dtype, name: str) -> np.ndarray:
+    """x as an array of the given shape and dtype with finite entries;
+    InvariantViolation naming it otherwise."""
+    a = np.asarray(x, dtype=dtype)
+    if a.shape != shape:
+        raise InvariantViolation(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvariantViolation(f"{name} entries must be finite")
+    return a
+
+
+def _checked_rotation(rot) -> np.ndarray:
+    """A spatial rotation matrix, orthogonal to within ROTATION_TOL."""
+    r = _checked(rot, (3, 3), float, "rotation")
+    defect = float(np.max(np.abs(r.T @ r - np.eye(3))))
+    if defect > ROTATION_TOL:
+        raise NotOrthogonal(f"R^T R deviates from the identity by {defect:.3e}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -87,14 +108,8 @@ class Wavevector4:
     kvec: np.ndarray
 
     def __post_init__(self) -> None:
-        omega = float(self.omega)
-        kvec = np.asarray(self.kvec, dtype=float)
-        if kvec.shape != (3,):
-            raise InvariantViolation(f"kvec must be a 3-vector, got shape {kvec.shape}")
-        if not (np.isfinite(omega) and np.all(np.isfinite(kvec))):
-            raise InvariantViolation("wavevector components must be finite")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "kvec", kvec)
+        object.__setattr__(self, "omega", float(_checked(self.omega, (), float, "omega")))
+        object.__setattr__(self, "kvec", _checked(self.kvec, (3,), float, "kvec"))
 
     def four(self, units: UnitsConfig = NATURAL) -> np.ndarray:
         """Contravariant components (omega/c, kx, ky, kz)."""
@@ -113,7 +128,7 @@ class Wavevector4:
         return Wavevector4(-self.omega, -self.kvec)
 
     def __repr__(self) -> str:  # keep error messages readable
-        k = ", ".join(repr(x) for x in self.kvec)
+        k = ", ".join(repr(float(x)) for x in self.kvec)
         return f"Wavevector4(omega={self.omega!r}, kvec=[{k}])"
 
 
@@ -128,11 +143,7 @@ class BoostParams:
     lambda_hat: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=float)
-        if v.shape != (3,):
-            raise InvariantViolation(f"velocity must be a 3-vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InvariantViolation("velocity components must be finite")
+        v = _checked(self.v, (3,), float, "velocity")
         c = self.units.c
         speed = float(np.sqrt(v @ v))
         if speed / c > 1.0 - SPEED_MARGIN:
@@ -173,14 +184,15 @@ class LorentzMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (4, 4):
-            raise InvariantViolation(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvariantViolation("matrix entries must be finite")
+        m = _checked(self.entries, (4, 4), float, "Lorentz matrix")
+        # Each entry of m^T eta m sums four products of entries, each off by
+        # about eps |m_ij| |m_kl| after rounding, so a member of O(1,3) stored
+        # in floating point has a residual up to a few eps max|m|^2; a fast
+        # boost has max|m| = gamma, a rotation or flip 1.
+        tol = GROUP_TOL * max(1.0, float(np.abs(m).max())) ** 2
         resid = float(np.max(np.abs(m.T @ ETA @ m - ETA)))
-        if resid > GROUP_TOL:
-            raise InvariantViolation(f"matrix is not in O(1,3): metric residual {resid:.3e} exceeds {GROUP_TOL:.1e}")
+        if resid > tol:
+            raise InvariantViolation(f"matrix is not in O(1,3): metric residual {resid:.3e} exceeds {tol:.1e}")
         object.__setattr__(self, "entries", m)
 
     @property
@@ -202,14 +214,8 @@ def boost_matrix(v: np.ndarray, units: UnitsConfig = NATURAL) -> LorentzMatrix:
 
 def rotation_embed(rot: np.ndarray) -> LorentzMatrix:
     """Embed a spatial orthogonal matrix as a Lorentz transform fixing time."""
-    r = np.asarray(rot, dtype=float)
-    if r.shape != (3, 3):
-        raise InvariantViolation(f"rotation must be a 3x3 matrix, got shape {r.shape}")
-    defect = float(np.max(np.abs(r.T @ r - np.eye(3))))
-    if defect > ROTATION_TOL:
-        raise NotOrthogonal(f"R^T R deviates from the identity by {defect:.3e}")
     m = np.eye(4)
-    m[1:, 1:] = r
+    m[1:, 1:] = _checked_rotation(rot)
     return LorentzMatrix(m)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4
+from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _checked
 from .response import PotentialSet, require_dynamic
 from .transform import projector_inverse
 
@@ -42,15 +42,6 @@ __all__ = [
 FARADAY_TOL = 1e-10
 
 
-def _vec3c(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=complex)
-    if a.shape != (3,):
-        raise InvariantViolation(f"{name} must be a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvariantViolation(f"{name} components must be finite")
-    return a
-
-
 @dataclass(frozen=True)
 class FieldSet:
     """Electric and magnetic field amplitudes at one sample point.
@@ -65,8 +56,8 @@ class FieldSet:
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        e = _vec3c(self.E, "E")
-        b = _vec3c(self.B, "B")
+        e = _checked(self.E, (3,), complex, "E")
+        b = _checked(self.B, (3,), complex, "B")
         w = self.at.omega
         k = self.at.kvec
         resid = float(np.max(np.abs(w * b - np.cross(k, e))))
@@ -92,13 +83,13 @@ def fields_from_potential(pot: PotentialSet) -> FieldSet:
 def fields_from_electric(evec, at: Wavevector4) -> FieldSet:
     """Complete an electric amplitude with the Faraday-consistent B = k x E / omega."""
     require_dynamic(at.omega)
-    e = _vec3c(evec, "E")
+    e = _checked(evec, (3,), complex, "E")
     return FieldSet(E=e, B=np.cross(at.kvec, e) / at.omega, at=at)
 
 
 def ohm_current(sigma: np.ndarray, evec) -> np.ndarray:
     """j = sigma E; the rest-frame form of Ohm's law."""
-    return np.asarray(sigma, dtype=complex) @ _vec3c(evec, "E")
+    return np.asarray(sigma, dtype=complex) @ _checked(evec, (3,), complex, "E")
 
 
 def induced_charge(sigma: np.ndarray, evec, kw: Wavevector4) -> complex:
@@ -116,8 +107,8 @@ class OhmResult:
     rho: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "drift_current", _vec3c(self.drift_current, "drift_current"))
-        object.__setattr__(self, "jvec", _vec3c(self.jvec, "jvec"))
+        object.__setattr__(self, "drift_current", _checked(self.drift_current, (3,), complex, "drift_current"))
+        object.__setattr__(self, "jvec", _checked(self.jvec, (3,), complex, "jvec"))
         object.__setattr__(self, "rho", complex(self.rho))
 
 
@@ -138,9 +129,7 @@ def generalized_ohm(
     w = fields.at.omega
     require_dynamic(w)
     k = fields.at.kvec
-    sig = np.asarray(sigma_primed_at, dtype=complex)
-    if sig.shape != (3, 3):
-        raise InvariantViolation(f"conductivity must be 3x3, got shape {sig.shape}")
+    sig = _checked(sigma_primed_at, (3, 3), complex, "conductivity")
     lhat_inv = bp.lambda_hat_inv
     emf = fields.E + np.cross(bp.v, fields.B)
     drift = bp.gamma * (lhat_inv @ sig @ lhat_inv @ emf)
@@ -167,7 +156,5 @@ def textbook_ohm(
 
 def textbook_ohm_nr(sigma_scalar: complex, v: np.ndarray, fields: FieldSet) -> np.ndarray:
     """Nonrelativistic limit j - v rho = sigma (E + v x B)."""
-    vv = np.asarray(v, dtype=float)
-    if vv.shape != (3,):
-        raise InvariantViolation(f"velocity must be a 3-vector, got shape {vv.shape}")
+    vv = _checked(v, (3,), float, "velocity")
     return complex(sigma_scalar) * (fields.E + np.cross(vv, fields.B))

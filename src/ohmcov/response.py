@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatch, InvariantViolation, StaticFrequency
-from .minkowski import NATURAL, UnitsConfig, Wavevector4
+from .errors import FrameMismatch, StaticFrequency
+from .minkowski import NATURAL, UnitsConfig, Wavevector4, _checked
 
 __all__ = [
     "STATIC_OMEGA_FLOOR",
@@ -44,15 +44,6 @@ __all__ = [
 STATIC_OMEGA_FLOOR = 1e-14
 
 
-def _spatial(tensor: np.ndarray) -> np.ndarray:
-    t = np.asarray(tensor, dtype=complex)
-    if t.shape != (3, 3):
-        raise InvariantViolation(f"spatial tensor must be 3x3, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise InvariantViolation("spatial tensor entries must be finite")
-    return t
-
-
 def require_dynamic(omega: float) -> None:
     """Reject frequencies too close to zero for 1/omega to mean anything."""
     if abs(omega) < STATIC_OMEGA_FLOOR:
@@ -62,13 +53,13 @@ def require_dynamic(omega: float) -> None:
 def chi_from_sigma(sigma: np.ndarray, omega: float) -> np.ndarray:
     """Spatial response block chi = i omega sigma."""
     require_dynamic(omega)
-    return 1j * omega * _spatial(sigma)
+    return 1j * omega * _checked(sigma, (3, 3), complex, "conductivity")
 
 
 def sigma_from_chi(chi_spatial: np.ndarray, omega: float) -> np.ndarray:
     """Conductivity sigma = chi / (i omega), the inverse of chi_from_sigma."""
     require_dynamic(omega)
-    return _spatial(chi_spatial) / (1j * omega)
+    return _checked(chi_spatial, (3, 3), complex, "spatial response") / (1j * omega)
 
 
 @dataclass(frozen=True)
@@ -84,12 +75,7 @@ class FullResponse4:
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise InvariantViolation(f"response kernel must be 4x4, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvariantViolation("response kernel entries must be finite")
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _checked(self.entries, (4, 4), complex, "response kernel"))
 
     @property
     def spatial(self) -> np.ndarray:
@@ -101,7 +87,7 @@ def reconstruct_full(chi_spatial: np.ndarray, kw: Wavevector4, units: UnitsConfi
     """Extend a spatial block to the full kernel fixed by current
     conservation and gauge invariance."""
     require_dynamic(kw.omega)
-    chi = _spatial(chi_spatial)
+    chi = _checked(chi_spatial, (3, 3), complex, "spatial response")
     k = kw.kvec
     ratio = units.c / kw.omega
     chi_k = chi @ k
@@ -139,14 +125,8 @@ class PotentialSet:
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        phi = complex(self.phi)
-        a = np.asarray(self.avec, dtype=complex)
-        if a.shape != (3,):
-            raise InvariantViolation(f"vector potential must be a 3-vector, got shape {a.shape}")
-        if not (np.isfinite(phi.real) and np.isfinite(phi.imag) and np.all(np.isfinite(a))):
-            raise InvariantViolation("potential amplitudes must be finite")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "avec", a)
+        object.__setattr__(self, "phi", complex(_checked(self.phi, (), complex, "scalar potential")))
+        object.__setattr__(self, "avec", _checked(self.avec, (3,), complex, "vector potential"))
 
     def four(self, units: UnitsConfig = NATURAL) -> np.ndarray:
         """Contravariant components (phi/c, A)."""
@@ -162,14 +142,8 @@ class FourCurrent:
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        rho = complex(self.rho)
-        j = np.asarray(self.jvec, dtype=complex)
-        if j.shape != (3,):
-            raise InvariantViolation(f"current density must be a 3-vector, got shape {j.shape}")
-        if not (np.isfinite(rho.real) and np.isfinite(rho.imag) and np.all(np.isfinite(j))):
-            raise InvariantViolation("current amplitudes must be finite")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "jvec", j)
+        object.__setattr__(self, "rho", complex(_checked(self.rho, (), complex, "charge density")))
+        object.__setattr__(self, "jvec", _checked(self.jvec, (3,), complex, "current density"))
 
     def four(self, units: UnitsConfig = NATURAL) -> np.ndarray:
         return np.concatenate(([units.c * self.rho], self.jvec))

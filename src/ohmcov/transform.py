@@ -24,13 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoostResonance, InvariantViolation, NotOrthogonal
+from .errors import BoostResonance
 from .minkowski import (
     NATURAL,
     BoostParams,
     LorentzMatrix,
     UnitsConfig,
     Wavevector4,
+    _checked,
+    _checked_rotation,
     inverse,
     transform_wavevector,
 )
@@ -75,11 +77,7 @@ class FrameSample:
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.sigma, dtype=complex)
-        if s.shape != (3, 3):
-            raise InvariantViolation(f"conductivity must be a 3x3 tensor, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise InvariantViolation("conductivity entries must be finite")
+        s = _checked(self.sigma, (3, 3), complex, "conductivity")
         require_dynamic(self.at.omega)
         object.__setattr__(self, "sigma", s)
 
@@ -143,12 +141,7 @@ def boost_sigma_inverse(
 
 def rotate_sigma(s: FrameSample, rot: np.ndarray) -> FrameSample:
     """Rotate a conductivity sample: sigma'(R k, omega) = R sigma R^(-1)."""
-    r = np.asarray(rot, dtype=float)
-    if r.shape != (3, 3):
-        raise InvariantViolation(f"rotation must be a 3x3 matrix, got shape {r.shape}")
-    defect = float(np.max(np.abs(r.T @ r - np.eye(3))))
-    if defect > 1e-10:
-        raise NotOrthogonal(f"R^T R deviates from the identity by {defect:.3e}")
+    r = _checked_rotation(rot)
     sigma_p = r @ s.sigma @ r.T
     return FrameSample(sigma_p, Wavevector4(s.at.omega, r @ s.at.kvec))
 

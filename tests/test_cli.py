@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ohmcov
 from ohmcov import (
     ConstantScalar,
     DiagonalAnisotropic,
@@ -228,11 +231,25 @@ def test_config_file_with_relative_model(tmp_path, capsys):
 
 
 def test_config_unknown_key_exit_2(tmp_path, capsys):
+    point = {
+        "model": {"type": "constant-scalar", "sigma0": [2.0, 0.0]},
+        "grid": {"omega": [1.0], "k": [[0.0, 0.0, 0.0]]},
+    }
+    bad = [
+        ("verify", {"freq": [1.0]}, "freq"),
+        # wrong JSON types: strings, truncatable floats and booleans are not numbers
+        ("verify", {"seed": "abc"}, "seed"),
+        ("verify", {"samples": 2.9}, "samples"),
+        ("transform", {**point, "velocity": [True, 0.0, 0.0]}, "velocity"),
+        ("sweep", {**point, "grid": {"omega": [True], "k": [[0.0, 0.0, 0.0]]}}, "omega"),
+        ("sweep", {**point, "grid": {"omega": [1.0], "k": [[0.0, False, 0.0]]}}, "'k'"),
+    ]
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"freq": [1.0]}))
-    code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
-    assert code == 2
-    assert "freq" in err
+    for command, config, word in bad:
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2, config
+        assert word in err
 
 
 def test_config_inline_model(tmp_path, capsys):
@@ -425,8 +442,11 @@ def test_sweep_reload_and_boost_back(tmp_path, capsys):
 
 
 def test_module_invocation_help():
+    # the child imports the package under test, installed or not
+    src = str(Path(ohmcov.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "ohmcov", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "ohmcov", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "transform" in proc.stdout

@@ -165,6 +165,7 @@ def test_wavevector_validation_and_negation():
         Wavevector4(1.0, np.array([1.0, 2.0]))
     with pytest.raises(InvariantViolation):
         Wavevector4(1.0, np.array([np.nan, 0.0, 0.0]))
+    assert repr(Wavevector4(2.0, [1, 0, -0.5])) == "Wavevector4(omega=2.0, kvec=[1.0, 0.0, -0.5])"
 
 
 def test_transform_wavevector_zero_velocity():

@@ -240,3 +240,20 @@ def test_frame_sample_rejects_static_point(rng):
         FrameSample(rand_sigma(rng), Wavevector4(0.0, np.array([1.0, 0.0, 0.0])))
     with pytest.raises(StaticFrequency):
         FrameSample(rand_sigma(rng), Wavevector4(5e-15, np.array([1.0, 0.0, 0.0])))
+
+
+def test_fast_boosts_up_to_speed_margin(rng):
+    # the boost matrix's metric residual grows like gamma^2 eps; LorentzMatrix
+    # must still accept every boost BoostParams builds below the speed limit
+    worst = 0.0
+    for gap in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
+        for _ in range(20):
+            kw, v = guarded_setup(rng)
+            v = (1.0 - gap) * v / np.linalg.norm(v)
+            if abs(kw.omega - v @ kw.kvec) < 1e-3 * max(kw.omega, abs(v @ kw.kvec)):
+                continue
+            s = FrameSample(rand_sigma(rng), kw)
+            direct = boost_sigma_direct(s, v)
+            oracle = transform_sigma_oracle(s, boost_matrix(v))
+            worst = max(worst, rel_error(direct.sigma, oracle.sigma), rel_error(direct.at.four(), oracle.at.four()))
+    assert worst < 1e-12

@@ -2,9 +2,12 @@
 recorded bytes exactly, except the timing field of verify reports.
 
 The cases run in process with ``tests/golden`` as the working directory,
-so model and config paths in ``cases.json`` are relative to it.  To
-record the files again after a deliberate output change, run
-``PYTHONPATH=src python tests/test_golden.py``.
+so model and config paths in ``cases.json`` are relative to it.
+``PYTHONPATH=src python tests/test_golden.py`` records the cases that have
+no ``.stdout`` file yet and leaves every recorded case alone, so adding
+cases cannot silently re-record the others.  To record a case again after
+a deliberate output change, delete its ``.stdout`` and ``.stderr`` files
+first.
 """
 
 import contextlib
@@ -61,6 +64,8 @@ def test_golden_output(name):
 
 if __name__ == "__main__":
     for name, case in sorted(CASES.items()):
+        if (GOLDEN / f"{name}.stdout").exists():
+            continue
         code, stdout, stderr = run_case(case["argv"])
         if code != case["exit"]:
             sys.exit(f"{name}: exit code {code}, expected {case['exit']}")

@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +36,8 @@ from .errors import (
 from .materials import MaterialModel, Tabulated, load_model, model_from_dict
 from .minkowski import BoostParams, UnitsConfig, Wavevector4, boost_matrix, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
-from .transform import FrameSample, boost_sigma_direct, transform_sigma_oracle
-from .verify import rel_error, run_all
+from .transform import FrameSample, _direct, _oracle, _unusable, boost_sigma_direct, transform_sigma_oracle
+from .verify import _rel_errors, rel_error, run_all
 
 __all__ = ["main", "load_sweep_csv", "tabulated_from_sweep"]
 
@@ -87,6 +86,9 @@ def _columns(layout) -> list[str]:
 
 
 SWEEP_COLUMNS = _columns(_SWEEP)
+_SWEEP_KEYS = [key for key, _, _ in _SWEEP]
+
+SWEEP_BLOCK = 1024  # grid points per kernel call: spreads numpy's cost per call, bounds the temporaries
 
 _CONFIG_KEYS = {"c", "model", "velocity", "grid", "output", "seed", "samples", "E"}
 
@@ -261,12 +263,11 @@ def _point(kw: Wavevector4, kw_p: Wavevector4) -> dict:
 
 
 def _transform_point(model: MaterialModel, kw: Wavevector4, v: np.ndarray, units: UnitsConfig):
-    """Shared by transform and sweep: evaluate, boost, cross check."""
+    """Evaluate, boost, cross check one point; sweep does the same in blocks."""
     sample = FrameSample(model.evaluate(kw), kw)
     direct = boost_sigma_direct(sample, v, units)
     oracle = transform_sigma_oracle(sample, boost_matrix(v, units), units)
-    residual = max(rel_error(direct.sigma, oracle.sigma), rel_error(direct.at.four(units), oracle.at.four(units)))
-    return sample, direct, residual
+    return sample, direct, rel_error(direct.sigma, oracle.sigma)  # both move (k, omega) by the same code
 
 
 def cmd_transform(args) -> int:
@@ -295,18 +296,30 @@ def cmd_sweep(args) -> int:
     omegas, ks = _resolve_grid(args, cfg)
     if not omegas or not ks:
         raise ConfigError("sweep needs at least one omega and one k (--omega/--k or the 'grid' config key)")
-    BoostParams(v, units)  # reject superluminal input before looping
+    bp = BoostParams(v, units)  # reject superluminal input before looping
+    grid_omega, grid_k = np.repeat(omegas, len(ks)), np.tile(ks, (len(omegas), 1))  # omega-major
 
     records = []
     skipped = []
-    for w, kv in product(omegas, ks):
-        kw = Wavevector4(w, kv)
-        try:
-            _, direct, residual = _transform_point(model, kw, v, units)
-        except (BoostResonance, StaticFrequency, OutOfRange) as exc:
-            skipped.append((kw, f"{type(exc).__name__}: {exc}"))
-            continue
-        records.append({**_point(kw, direct.at), "sigma_prime": _pairs(direct.sigma), "residual": residual})
+    for start in range(0, len(grid_omega), SWEEP_BLOCK):
+        omega, k = grid_omega[start:start + SWEEP_BLOCK], grid_k[start:start + SWEEP_BLOCK]
+        with np.errstate(all="ignore"):  # _transform_point at each point; bad flags where it raises
+            sigma, bad, _ = model._evaluate(omega, k)
+            sigma_p, omega_p, k_p, direct_bad, _ = _direct(sigma, omega, k, bp)
+            oracle = _oracle(sigma, omega, k, bp.matrix(), units)
+            residual = _rel_errors(sigma_p, oracle[0])
+        bad |= _unusable(sigma, omega, k) | direct_bad | _unusable(sigma_p, omega_p, k_p) | oracle[3]
+        bad |= _unusable(*oracle[:3])
+        columns = (omega.tolist(), k.tolist(), omega_p.tolist(), k_p.tolist(), _pairs(sigma_p), residual.tolist())
+        rows = [dict(zip(_SWEEP_KEYS, row)) for row in zip(*columns)]
+        for i in np.flatnonzero(bad):  # alone, each raises what it always raised
+            kw = Wavevector4(omega[i], k[i])
+            try:  # should it pass, the block's row holds the same numbers
+                _transform_point(model, kw, v, units)
+            except (BoostResonance, StaticFrequency, OutOfRange) as exc:
+                skipped.append((kw, f"{type(exc).__name__}: {exc}"))
+                rows[i] = None
+        records += [row for row in rows if row is not None]
     for kw, reason in skipped:
         print(f"skipped omega={kw.omega!r} k={kw.kvec.tolist()!r}: {reason}", file=sys.stderr)
     if not records:

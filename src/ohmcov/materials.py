@@ -39,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvariantViolation, OutOfRange, ParseError
-from .response import require_dynamic
+from .response import STATIC_OMEGA_FLOOR, require_dynamic
 from .minkowski import Wavevector4, _checked
 
 __all__ = [
@@ -62,14 +62,28 @@ _INTERPOLATIONS = ("linear-in-omega", "nearest")
 
 
 class MaterialModel:
-    """Base class; concrete models implement evaluate(kw) -> 3x3 complex."""
+    """Base class; concrete models implement _evaluate(omega, k), which returns sigma at N
+    checked points, the points it rejects and replay(i), point i's checks alone, in order."""
 
     def evaluate(self, kw: Wavevector4) -> np.ndarray:
-        raise NotImplementedError
+        return self.evaluate_batch(np.array([kw.omega]), kw.kvec[None])[0]
+
+    def evaluate_batch(self, omega, k) -> np.ndarray:
+        """The (N, 3, 3) conductivity at omega (N,), k (N, 3); raises as evaluate at the first bad point."""
+        n = np.size(omega)
+        sigma, bad, replay = self._evaluate(_checked(omega, (n,), float, "omega"), _checked(k, (n, 3), float, "kvec"))
+        if bad.any():  # the first rejected point raises its usual error
+            replay(int(bad.argmax()))
+        return sigma
 
 
-def _drude_scalar(sigma0: complex, tau: float, omega: float) -> complex:
-    return sigma0 / (1.0 - 1j * omega * tau)
+def _static(omega: np.ndarray) -> tuple:  # the points require_dynamic rejects, and its replay
+    return abs(omega) < STATIC_OMEGA_FLOOR, lambda i: require_dynamic(float(omega[i]))
+
+
+def _drude(sigma0: complex, tau: float, omega: np.ndarray) -> np.ndarray:
+    # Python's complex division, point by point: numpy's rounds differently
+    return np.array([sigma0 / (1.0 - 1j * w * tau) for w in omega.tolist()], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -81,9 +95,8 @@ class ConstantScalar(MaterialModel):
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma0", complex(_checked(self.sigma0, (), complex, "sigma0")))
 
-    def evaluate(self, kw: Wavevector4) -> np.ndarray:
-        require_dynamic(kw.omega)
-        return self.sigma0 * np.eye(3, dtype=complex)
+    def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
+        return np.repeat((self.sigma0 * np.eye(3, dtype=complex))[None], len(omega), axis=0), *_static(omega)
 
 
 @dataclass(frozen=True)
@@ -101,9 +114,8 @@ class Drude(MaterialModel):
         object.__setattr__(self, "sigma0", s)
         object.__setattr__(self, "tau", tau)
 
-    def evaluate(self, kw: Wavevector4) -> np.ndarray:
-        require_dynamic(kw.omega)
-        return _drude_scalar(self.sigma0, self.tau, kw.omega) * np.eye(3, dtype=complex)
+    def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
+        return _drude(self.sigma0, self.tau, omega)[:, None, None] * np.eye(3, dtype=complex), *_static(omega)
 
 
 AxisEntry = Union[complex, Drude]
@@ -127,13 +139,11 @@ class DiagonalAnisotropic(MaterialModel):
             normalized.append(complex(_checked(e, (), complex, f"axis entry {i}")))
         object.__setattr__(self, "entries", tuple(normalized))
 
-    def evaluate(self, kw: Wavevector4) -> np.ndarray:
-        require_dynamic(kw.omega)
-        diag = [
-            _drude_scalar(e.sigma0, e.tau, kw.omega) if isinstance(e, Drude) else e
-            for e in self.entries
-        ]
-        return np.diag(np.asarray(diag, dtype=complex))
+    def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
+        sigma = np.zeros((len(omega), 3, 3), dtype=complex)
+        for axis, e in enumerate(self.entries):
+            sigma[:, axis, axis] = _drude(e.sigma0, e.tau, omega) if isinstance(e, Drude) else e
+        return sigma, *_static(omega)
 
     @property
     def sx(self) -> AxisEntry:
@@ -178,15 +188,13 @@ class Tabulated(MaterialModel):
         self.samples = tuple(cleaned)
         self.interpolation = interpolation
         self.real_fields = bool(real_fields)
-        # group by k point, sorted in omega, for evaluation
+        # omegas and tensors at each k point of _kpoints, sorted in omega, and their span
         columns: dict[tuple, list[tuple[float, np.ndarray]]] = {}
-        for kw, s in cleaned:
+        for kw, s in sorted(cleaned, key=lambda pair: pair[0].omega):
             columns.setdefault(tuple(kw.kvec.tolist()), []).append((kw.omega, s))
-        self._kpoints = np.array(sorted(columns.keys()))
-        self._columns = {}
-        for kpt, rows in columns.items():
-            rows.sort(key=lambda r: r[0])
-            self._columns[kpt] = (np.array([r[0] for r in rows]), [r[1] for r in rows])
+        self._kpoints = np.array(sorted(columns))
+        self._columns = [tuple(map(np.array, zip(*columns[kpt]))) for kpt in sorted(columns)]
+        self._spans = np.array([(omegas[0], omegas[-1]) for omegas, _ in self._columns])
         if self.real_fields:
             self._check_mirrored_nodes(seen)
 
@@ -219,25 +227,30 @@ class Tabulated(MaterialModel):
             f"real_fields={self.real_fields!r})"
         )
 
-    def evaluate(self, kw: Wavevector4) -> np.ndarray:
-        require_dynamic(kw.omega)
-        dists = np.linalg.norm(self._kpoints - kw.kvec, axis=1)
-        kpt = tuple(self._kpoints[int(np.argmin(dists))].tolist())
-        omegas, tensors = self._columns[kpt]
-        w = kw.omega
-        if w < omegas[0] or w > omegas[-1]:
-            raise OutOfRange(
-                f"omega = {w!r} outside the tabulated span [{omegas[0]!r}, {omegas[-1]!r}] at k = {list(kpt)!r}"
-            )
-        exact = np.nonzero(omegas == w)[0]
-        if exact.size:
-            return tensors[int(exact[0])].copy()
-        if self.interpolation == "nearest":
-            return tensors[int(np.argmin(np.abs(omegas - w)))].copy()
-        hi = int(np.searchsorted(omegas, w))
-        lo = hi - 1
-        t = (w - omegas[lo]) / (omegas[hi] - omegas[lo])
-        return (1.0 - t) * tensors[lo] + t * tensors[hi]
+    def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
+        near = np.array([np.argmin(np.linalg.norm(self._kpoints - kv, axis=1)) for kv in k], dtype=int)
+        sigma = np.empty((len(omega), 3, 3), dtype=complex)
+        for col in set(near.tolist()):
+            omegas, tensors = self._columns[col]
+            w = omega[near == col]
+            if self.interpolation == "nearest" or len(omegas) == 1:  # one node: nothing to interpolate
+                s = tensors[np.argmin(np.abs(omegas - w[:, None]), axis=1)]
+            else:
+                hi = np.clip(np.searchsorted(omegas, w), 1, len(omegas) - 1)
+                with np.errstate(all="ignore"):  # points far outside the span may overflow; bad flags them
+                    t = ((w - omegas[hi - 1]) / (omegas[hi] - omegas[hi - 1]))[:, None, None]
+                    s = (1.0 - t) * tensors[hi - 1] + t * tensors[hi]
+            exact = omegas == w[:, None]
+            sigma[near == col] = np.where(exact.any(axis=1)[:, None, None], tensors[exact.argmax(axis=1)], s)
+        bad = (abs(omega) < STATIC_OMEGA_FLOOR) | (omega < self._spans[near, 0]) | (omega > self._spans[near, 1])
+        return sigma, bad, lambda i: self._require_evaluable(float(omega[i]), near[i])
+
+    def _require_evaluable(self, w: float, col: int) -> None:
+        require_dynamic(w)
+        lo, hi = self._spans[col]
+        if w < lo or w > hi:
+            k = self._kpoints[col].tolist()
+            raise OutOfRange(f"omega = {w!r} outside the tabulated span [{lo!r}, {hi!r}] at k = {k!r}")
 
 
 @dataclass(frozen=True)
@@ -432,3 +445,8 @@ def save_model(model: MaterialModel, dest) -> None:
         with open(dest, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
+
+
+# on each class too, for per-class timings and call counts (perfbench/tracing.py)
+for _model in (ConstantScalar, Drude, DiagonalAnisotropic, Tabulated):
+    _model.evaluate = MaterialModel.evaluate

@@ -240,8 +240,15 @@ def transform_wavevector(lam: LorentzMatrix, kw: Wavevector4, units: UnitsConfig
     For a pure boost this reduces to k' = Lhat k - gamma omega v / c^2 and
     omega' = gamma (omega - v.k).
     """
-    four = lam.entries @ kw.four(units)
-    return Wavevector4(units.c * four[0], four[1:])
+    omega_p, k_p = _transform_points(lam, np.array([kw.omega]), kw.kvec[None], units)
+    return Wavevector4(omega_p[0], k_p[0])
+
+
+def _transform_points(lam: LorentzMatrix, omega: np.ndarray, kvec: np.ndarray, units: UnitsConfig):
+    """transform_wavevector for N points: omega' (N,) and k' (N, 3)."""
+    four = np.concatenate(((omega / units.c)[:, None], kvec), axis=1)
+    four_p = (lam.entries @ four[:, :, None])[:, :, 0]
+    return units.c * four_p[:, 0], four_p[:, 1:]
 
 
 def decompose(

@@ -88,16 +88,20 @@ def reconstruct_full(chi_spatial: np.ndarray, kw: Wavevector4, units: UnitsConfi
     conservation and gauge invariance."""
     require_dynamic(kw.omega)
     chi = _checked(chi_spatial, (3, 3), complex, "spatial response")
-    k = kw.kvec
-    ratio = units.c / kw.omega
-    chi_k = chi @ k
-    kt_chi = k @ chi
-    full = np.empty((4, 4), dtype=complex)
-    full[0, 0] = -(ratio**2) * (k @ chi_k)
-    full[0, 1:] = ratio * kt_chi
-    full[1:, 0] = -ratio * chi_k
-    full[1:, 1:] = chi
-    return FullResponse4(full, kw)
+    return FullResponse4(_reconstruct(chi[None], np.array([kw.omega]), kw.kvec[None], units)[0], kw)
+
+
+def _reconstruct(chi: np.ndarray, omega: np.ndarray, k: np.ndarray, units: UnitsConfig) -> np.ndarray:
+    """reconstruct_full for N points: chi (N, 3, 3), omega (N,), k (N, 3)."""
+    ratio = (units.c / omega)[:, None]
+    chi_k = chi @ k[:, :, None]
+    full = np.empty((len(omega), 4, 4), dtype=complex)
+    # float_power is libm's pow, as Python's ** on a float; numpy's ** squares
+    full[:, :1, 0] = -np.float_power(ratio, 2) * (k[:, None, :] @ chi_k)[:, 0]
+    full[:, :1, 1:] = ratio[:, :, None] * (k[:, None, :] @ chi)
+    full[:, 1:, :1] = -ratio[:, :, None] * chi_k
+    full[:, 1:, 1:] = chi
+    return full
 
 
 def constraint_residual(full: FullResponse4, units: UnitsConfig = NATURAL) -> tuple[float, float]:

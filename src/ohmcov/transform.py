@@ -33,10 +33,10 @@ from .minkowski import (
     Wavevector4,
     _checked,
     _checked_rotation,
+    _transform_points,
     inverse,
-    transform_wavevector,
 )
-from .response import chi_from_sigma, reconstruct_full, require_dynamic, sigma_from_chi
+from .response import STATIC_OMEGA_FLOOR, _reconstruct, reconstruct_full, require_dynamic, sigma_from_chi
 
 __all__ = [
     "RESONANCE_RTOL",
@@ -54,8 +54,8 @@ __all__ = [
 RESONANCE_RTOL = 1e-9
 
 
-def resonance_width(omega: float, v_dot_k: float) -> float:
-    return RESONANCE_RTOL * max(abs(omega), abs(v_dot_k))
+def resonance_width(omega, v_dot_k):
+    return RESONANCE_RTOL * np.maximum(abs(omega), abs(v_dot_k))
 
 
 def _require_off_resonance(omega: float, v_dot_k: float) -> None:
@@ -98,16 +98,35 @@ def projector_inverse(kvec: np.ndarray, v: np.ndarray, omega: float) -> np.ndarr
 
 def boost_sigma_direct(s: FrameSample, v: np.ndarray, units: UnitsConfig = NATURAL) -> FrameSample:
     """Boost a conductivity sample to the frame moving with velocity v."""
-    bp = BoostParams(v, units)
-    omega = s.at.omega
-    k = s.at.kvec
-    v_dot_k = float(bp.v @ k)
-    _require_off_resonance(omega, v_dot_k)
-    left = np.eye(3) - np.outer(bp.v, k) / omega
-    right = np.eye(3) - np.outer(k, bp.v) / omega
-    prefactor = 1.0 / (bp.gamma * (1.0 - v_dot_k / omega))
-    sigma_p = prefactor * (bp.lambda_hat @ left @ s.sigma @ right @ bp.lambda_hat)
-    return FrameSample(sigma_p, transform_wavevector(bp.matrix(), s.at, units))
+    return _one(_direct, s, BoostParams(v, units))
+
+
+def _one(kernel, s: FrameSample, *args) -> FrameSample:
+    sigma_p, omega_p, k_p, bad, replay = kernel(s.sigma[None], np.array([s.at.omega]), s.at.kvec[None], *args)
+    if bad[0]:
+        replay(0)
+    return FrameSample(sigma_p[0], Wavevector4(omega_p[0], k_p[0]))
+
+
+def _unusable(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The points of a batch that FrameSample(sigma, Wavevector4(omega, k)) rejects."""
+    finite = np.isfinite(sigma).all(axis=(1, 2)) & np.isfinite(omega) & np.isfinite(k).all(axis=1)
+    return ~finite | (abs(omega) < STATIC_OMEGA_FLOOR)
+
+
+# Kernels of boost_sigma_direct and transform_sigma_oracle: sigma (N, 3, 3), omega (N,), k (N, 3) in;
+# sigma', omega', k' out, with bad, the samples that fail a check made before the FrameSample result
+# (_unusable has its own), and replay(i), those checks on sample i alone.  Stacks round as N = 1 would.
+def _direct(sigma, omega, k, bp: BoostParams) -> tuple:
+    v_dot_k = (k[:, None, :] @ bp.v[:, None])[:, 0, 0]
+    with np.errstate(all="ignore"):  # resonant points divide by zero; bad flags them
+        left = np.eye(3) - bp.v[:, None] * k[:, None, :] / omega[:, None, None]
+        right = np.eye(3) - k[:, :, None] * bp.v / omega[:, None, None]
+        prefactor = 1.0 / (bp.gamma * (1.0 - v_dot_k / omega))
+        sigma_p = prefactor[:, None, None] * (bp.lambda_hat @ left @ sigma @ right @ bp.lambda_hat)
+        omega_p, k_p = _transform_points(bp.matrix(), omega, k, bp.units)
+    bad = abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k)
+    return sigma_p, omega_p, k_p, bad, lambda i: _require_off_resonance(float(omega[i]), float(v_dot_k[i]))
 
 
 def boost_sigma_inverse(
@@ -155,9 +174,24 @@ def transform_sigma_oracle(s: FrameSample, lam: LorentzMatrix, units: UnitsConfi
     and time reversal, at the cost of more arithmetic than the closed
     form for pure boosts.
     """
-    full = reconstruct_full(chi_from_sigma(s.sigma, s.at.omega), s.at, units)
-    primed = lam.entries @ full.entries @ inverse(lam).entries
-    at_p = transform_wavevector(lam, s.at, units)
-    if abs(at_p.omega) <= RESONANCE_RTOL * abs(s.at.omega):
-        raise BoostResonance(f"transformed frequency omega' = {at_p.omega!r} is too close to zero")
-    return FrameSample(sigma_from_chi(primed[1:, 1:], at_p.omega), at_p)
+    return _one(_oracle, s, lam, units)
+
+
+def _oracle(sigma, omega, k, lam: LorentzMatrix, units: UnitsConfig) -> tuple:
+    with np.errstate(all="ignore"):  # a vanishing omega' divides by zero; bad flags it
+        chi = (1j * omega)[:, None, None] * sigma
+        full = _reconstruct(chi, omega, k, units)
+        primed = (lam.entries @ full @ inverse(lam).entries)[:, 1:, 1:]
+        omega_p, k_p = _transform_points(lam, omega, k, units)
+        sigma_p = primed / (1j * omega_p)[:, None, None]
+    bad = ~(np.isfinite(full).all(axis=(1, 2)) & np.isfinite(primed).all(axis=(1, 2)))
+    bad |= (abs(omega_p) <= RESONANCE_RTOL * abs(omega)) | (abs(omega_p) < STATIC_OMEGA_FLOOR)
+
+    def replay(i: int) -> None:
+        reconstruct_full(chi[i], Wavevector4(omega[i], k[i]), units)
+        Wavevector4(omega_p[i], k_p[i])
+        if abs(omega_p[i]) <= RESONANCE_RTOL * abs(omega[i]):
+            raise BoostResonance(f"transformed frequency omega' = {float(omega_p[i])!r} is too close to zero")
+        sigma_from_chi(primed[i], float(omega_p[i]))
+
+    return sigma_p, omega_p, k_p, bad, replay

@@ -78,10 +78,14 @@ class SuiteResult:
 
 def rel_error(a, b, floor: float = ABS_FLOOR) -> float:
     """Max-abs difference over max-abs magnitude, floored for near-zero data."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), floor)
-    return float(np.max(np.abs(a - b))) / scale
+    return float(_rel_errors(np.asarray(a)[None], np.asarray(b)[None], floor)[0])
+
+
+def _rel_errors(a: np.ndarray, b: np.ndarray, floor: float = ABS_FLOOR) -> np.ndarray:
+    """rel_error of a[i] and b[i] for each i of a leading batch axis."""
+    axes = tuple(range(1, a.ndim))
+    scale = np.maximum(np.maximum(np.abs(a).max(axis=axes), np.abs(b).max(axis=axes)), floor)
+    return np.abs(a - b).max(axis=axes) / scale
 
 
 def sample_sigma(rng: np.random.Generator) -> np.ndarray:

@@ -225,6 +225,10 @@ def test_oracle_hits_resonance():
     s = FrameSample(np.eye(3, dtype=complex), Wavevector4(1.0, np.array([2.0, 0.0, 0.0])))
     with pytest.raises(BoostResonance):
         transform_sigma_oracle(s, boost_matrix(np.array([0.5, 0.0, 0.0])))
+    # omega' about 1e-12: inside the band, above the static floor
+    near = FrameSample(np.eye(3, dtype=complex), Wavevector4(1.0 + 1e-12, np.array([2.0, 0.0, 0.0])))
+    with pytest.raises(BoostResonance, match="omega'"):
+        transform_sigma_oracle(near, boost_matrix(np.array([0.5, 0.0, 0.0])))
 
 
 def test_speed_limit(rng):

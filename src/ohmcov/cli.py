@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -34,9 +35,9 @@ from .errors import (
     StaticFrequency,
 )
 from .materials import MaterialModel, Tabulated, load_model, model_from_dict
-from .minkowski import BoostParams, UnitsConfig, Wavevector4, boost_matrix, transform_wavevector
+from .minkowski import BoostParams, UnitsConfig, Wavevector4, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
-from .transform import FrameSample, _direct, _oracle, _unusable, boost_sigma_direct, transform_sigma_oracle
+from .transform import FrameSample, _direct, _one, _oracle, _unusable, transform_sigma_oracle
 from .verify import _rel_errors, rel_error, run_all
 
 __all__ = ["main", "load_sweep_csv", "tabulated_from_sweep"]
@@ -263,11 +264,15 @@ def _point(kw: Wavevector4, kw_p: Wavevector4) -> dict:
 
 
 def _transform_point(model: MaterialModel, kw: Wavevector4, v: np.ndarray, units: UnitsConfig):
-    """Evaluate, boost, cross check one point; sweep does the same in blocks."""
+    """Evaluate, boost, cross check one point; sweep does the same in blocks.
+
+    Returns the sample, its boost, the residual against the oracle and the boost's gamma.
+    """
     sample = FrameSample(model.evaluate(kw), kw)
-    direct = boost_sigma_direct(sample, v, units)
-    oracle = transform_sigma_oracle(sample, boost_matrix(v, units), units)
-    return sample, direct, rel_error(direct.sigma, oracle.sigma)  # both move (k, omega) by the same code
+    bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
+    direct = _one(_direct, sample, bp)  # boost_sigma_direct(sample, v, units), with this bp
+    oracle = transform_sigma_oracle(sample, bp.matrix(), units)
+    return sample, direct, rel_error(direct.sigma, oracle.sigma), bp.gamma  # both move (k, omega) by the same code
 
 
 def cmd_transform(args) -> int:
@@ -276,12 +281,12 @@ def cmd_transform(args) -> int:
     kw = _resolve_single_point(args, cfg)
 
     try:
-        sample, direct, residual = _transform_point(model, kw, v, units)
+        sample, direct, residual, gamma = _transform_point(model, kw, v, units)
     except (BoostResonance, StaticFrequency, OutOfRange) as exc:
         raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
     record = {
         **_point(kw, direct.at),
-        "gamma": BoostParams(v, units).gamma,
+        "gamma": gamma,
         "sigma": _pairs(sample.sigma),
         "sigma_prime": _pairs(direct.sigma),
         "residual": residual,
@@ -440,6 +445,7 @@ def tabulated_from_sweep(records, interpolation: str = "nearest") -> Tabulated:
 # entry point
 
 
+@functools.cache  # built on the first call, not at import; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ohmcov",

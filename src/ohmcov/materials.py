@@ -31,10 +31,13 @@ mirrored nodes present in the table.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -158,6 +161,32 @@ class DiagonalAnisotropic(MaterialModel):
         return self.entries[2]
 
 
+class _Nodes(NamedTuple):
+    """A table's samples as arrays: omega (N,), k (N, 3) and sigma (N, 3, 3)."""
+
+    omega: np.ndarray
+    k: np.ndarray
+    sigma: np.ndarray
+
+
+def _nodes_from_pairs(samples) -> _Nodes:
+    """(point, tensor) pairs as arrays, each pair checked in turn: its point,
+    its tensor, then that the point is new."""
+    points, tensors, seen = [], [], set()
+    for kw, sigma in samples:
+        if not isinstance(kw, Wavevector4):
+            kw = Wavevector4(*kw)
+        # named by index: formatting kw for every sample would cost more than the check
+        tensors.append(_checked(sigma, (3, 3), complex, f"tabulated tensor {len(tensors)}"))
+        key = (kw.omega, *kw.kvec.tolist())
+        if key in seen:
+            raise InvariantViolation(f"duplicate sample point {kw!r}")
+        seen.add(key)
+        points.append(kw)
+    omega = np.array([kw.omega for kw in points], dtype=float)
+    return _Nodes(omega, np.array([kw.kvec for kw in points]).reshape(-1, 3), np.array(tensors).reshape(-1, 3, 3))
+
+
 class Tabulated(MaterialModel):
     """Explicit samples; linear in omega at fixed k, nearest in k.
 
@@ -171,32 +200,33 @@ class Tabulated(MaterialModel):
     def __init__(self, samples, interpolation: str = "linear-in-omega", real_fields: bool = False):
         if interpolation not in _INTERPOLATIONS:
             raise InvariantViolation(f"interpolation must be one of {_INTERPOLATIONS}, got {interpolation!r}")
-        seen: dict[tuple, np.ndarray] = {}
-        cleaned: list[tuple[Wavevector4, np.ndarray]] = []
-        for kw, sigma in samples:
-            if not isinstance(kw, Wavevector4):
-                kw = Wavevector4(*kw)
-            # named by index: formatting kw for every sample would cost more than the check
-            s = _checked(sigma, (3, 3), complex, f"tabulated tensor {len(cleaned)}")
-            key = (kw.omega, *kw.kvec.tolist())
-            if key in seen:
-                raise InvariantViolation(f"duplicate sample point {kw!r}")
-            seen[key] = s
-            cleaned.append((kw, s))
-        if not cleaned:
+        # model_from_dict hands over the arrays it read; the pairs' own checks run when a node is bad
+        omega, k, sigma = samples if isinstance(samples, _Nodes) else _nodes_from_pairs(samples)
+        n = len(omega)
+        omega, k = _checked(omega, (n,), float, "omega"), _checked(k, (n, 3), float, "kvec")
+        keys = [(w, *kv) for w, kv in zip(omega.tolist(), k.tolist())]
+        if len(set(keys)) < n or not np.isfinite(sigma).all():
+            _nodes_from_pairs(zip(zip(omega, k), sigma))  # raises the first bad pair's error
+        if not n:
             raise InvariantViolation("tabulated model needs at least one sample")
-        self.samples = tuple(cleaned)
+        self._nodes = _Nodes(omega, k, sigma)
         self.interpolation = interpolation
         self.real_fields = bool(real_fields)
         # omegas and tensors at each k point of _kpoints, sorted in omega, and their span
-        columns: dict[tuple, list[tuple[float, np.ndarray]]] = {}
-        for kw, s in sorted(cleaned, key=lambda pair: pair[0].omega):
-            columns.setdefault(tuple(kw.kvec.tolist()), []).append((kw.omega, s))
+        columns: dict[tuple, list[int]] = {}
+        for i in np.argsort(omega, kind="stable").tolist():
+            columns.setdefault(keys[i][1:], []).append(i)
         self._kpoints = np.array(sorted(columns))
-        self._columns = [tuple(map(np.array, zip(*columns[kpt]))) for kpt in sorted(columns)]
+        self._columns = [(omega[columns[kpt]], sigma[columns[kpt]]) for kpt in sorted(columns)]
         self._spans = np.array([(omegas[0], omegas[-1]) for omegas, _ in self._columns])
         if self.real_fields:
-            self._check_mirrored_nodes(seen)
+            self._check_mirrored_nodes(dict(zip(keys, sigma)))
+
+    @functools.cached_property
+    def samples(self) -> tuple:
+        """The (Wavevector4, 3x3 complex tensor) pairs, in the order given."""
+        omega, k, sigma = self._nodes
+        return tuple((Wavevector4(w, kv), s) for w, kv, s in zip(omega.tolist(), k, sigma))
 
     def _check_mirrored_nodes(self, seen: dict[tuple, np.ndarray]) -> None:
         for key, s in seen.items():
@@ -214,16 +244,11 @@ class Tabulated(MaterialModel):
             return NotImplemented
         if self.interpolation != other.interpolation or self.real_fields != other.real_fields:
             return False
-        if len(self.samples) != len(other.samples):
-            return False
-        return all(
-            a[0] == b[0] and np.array_equal(a[1], b[1])
-            for a, b in zip(self.samples, other.samples)
-        )
+        return all(np.array_equal(a, b) for a, b in zip(self._nodes, other._nodes))
 
     def __repr__(self) -> str:
         return (
-            f"Tabulated({len(self.samples)} samples, interpolation={self.interpolation!r}, "
+            f"Tabulated({len(self._nodes.omega)} samples, interpolation={self.interpolation!r}, "
             f"real_fields={self.real_fields!r})"
         )
 
@@ -313,15 +338,75 @@ def _as_vec3(x, where: str) -> list[float]:
     return [_as_real(v, f"{where}[{i}]") for i, v in enumerate(x)]
 
 
-def _as_tensor(x, where: str) -> np.ndarray:
+def _as_tensor(x, where: str) -> list:
+    """A 3x3 tensor of [re, im] pairs, as nested lists of floats."""
     if not (isinstance(x, (list, tuple)) and len(x) == 3):
         raise ParseError(f"{where}: expected 3 rows, got {x!r}")
     rows = []
     for i, row in enumerate(x):
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise ParseError(f"{where}[{i}]: expected 3 entries, got {row!r}")
-        rows.append([_as_pair(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)])
-    return np.array(rows, dtype=complex)
+        rows.append([_pair(_as_pair(e, f"{where}[{i}][{j}]")) for j, e in enumerate(row)])
+    return rows
+
+
+_SAMPLE_KEYS = {"omega", "k", "sigma"}
+
+
+def _sample(entry, where: str) -> tuple:
+    """A tabulated sample's omega, k and sigma as floats; ParseError, or
+    InvariantViolation for a non-finite point, naming what is wrong."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where}: expected an object")
+    _no_extras(entry, _SAMPLE_KEYS, where)
+    omega = _as_real(_want(entry, "omega", where), where + ".omega")
+    k = _as_vec3(_want(entry, "k", where), where + ".k")
+    Wavevector4(omega, k)  # the point is checked before its tensor is read
+    return omega, k, _as_tensor(_want(entry, "sigma", where), where + ".sigma")
+
+
+def _joined(lists: list, n: int) -> list | None:
+    """The items of lists, one after another, if each is a list of n items."""
+    if set(map(type, lists)) <= {list} and set(map(len, lists)) <= {n}:
+        return list(itertools.chain.from_iterable(lists))
+    return None
+
+
+def _plain_fields(samples) -> tuple | None:
+    """The omegas, k components and sigma [re, im] parts, each as one flat
+    list, of samples made of plain JSON objects, lists, ints and floats and
+    shaped as _sample accepts them, checked a field at a time; None for any
+    other samples.  Finiteness is not checked."""
+    if not (set(map(type, samples)) <= {dict} and all(e.keys() == _SAMPLE_KEYS for e in samples)):
+        return None
+    omegas, ks, sigmas = ([e[key] for e in samples] for key in ("omega", "k", "sigma"))
+    rows = _joined(sigmas, 3)
+    pairs = None if rows is None else _joined(rows, 3)
+    fields = omegas, _joined(ks, 3), None if pairs is None else _joined(pairs, 2)
+    if None in fields or not set(map(type, itertools.chain(*fields))) <= {int, float}:
+        return None
+    return fields
+
+
+def _tabulated_nodes(samples, where: str) -> _Nodes:
+    """The samples of a tabulated document as arrays.  Samples that fail the
+    plain check are read one by one, which formats the location of the first
+    bad entry only to raise its error; flat or nested, reshape orders the
+    numbers alike."""
+    if not isinstance(samples, (list, tuple)):
+        raise ParseError(f"{where}.samples: expected an array")
+    fields = _plain_fields(samples)
+    try:
+        arrays = None if fields is None else [np.array(field, dtype=float) for field in fields]
+    except OverflowError:  # an int beyond float range, which the walk below reaches in document order
+        arrays = None
+    if arrays is None or not (np.isfinite(arrays[0]).all() and np.isfinite(arrays[1]).all()):
+        fields = zip(*[_sample(e, f"{where}.samples[{i}]") for i, e in enumerate(samples)])
+        arrays = [np.array(field, dtype=float) for field in fields]
+    omega, k, sigma = arrays
+    # [re, im] pairs read as complex keep the sign of a zero part, which re + 1j * im would not
+    sigma = sigma.reshape(-1, 3, 3, 2).view(complex)[..., 0]
+    return _Nodes(omega, k.reshape(-1, 3), sigma)
 
 
 def _pair(z: complex) -> list[float]:
@@ -360,27 +445,14 @@ def model_from_dict(doc: dict, where: str = "model") -> MaterialModel:
         return DiagonalAnisotropic(tuple(axes))
     if kind == "tabulated":
         _no_extras(doc, {"type", "interpolation", "real_fields", "samples"}, where)
-        samples_doc = _want(doc, "samples", where)
-        if not isinstance(samples_doc, (list, tuple)):
-            raise ParseError(f"{where}.samples: expected an array")
-        samples = []
-        for i, entry in enumerate(samples_doc):
-            spot = f"{where}.samples[{i}]"
-            if not isinstance(entry, dict):
-                raise ParseError(f"{spot}: expected an object")
-            _no_extras(entry, {"omega", "k", "sigma"}, spot)
-            kw = Wavevector4(
-                _as_real(_want(entry, "omega", spot), spot + ".omega"),
-                _as_vec3(_want(entry, "k", spot), spot + ".k"),
-            )
-            samples.append((kw, _as_tensor(_want(entry, "sigma", spot), spot + ".sigma")))
+        nodes = _tabulated_nodes(_want(doc, "samples", where), where)
         interpolation = doc.get("interpolation", "linear-in-omega")
         if not isinstance(interpolation, str):
             raise ParseError(f"{where}.interpolation: expected a string")
         real_fields = doc.get("real_fields", False)
         if not isinstance(real_fields, bool):
             raise ParseError(f"{where}.real_fields: expected a boolean")
-        return Tabulated(samples, interpolation=interpolation, real_fields=real_fields)
+        return Tabulated(nodes, interpolation=interpolation, real_fields=real_fields)
     raise ParseError(
         f"{where}.type: unknown model type {kind!r}; "
         "expected constant-scalar, drude, diagonal, or tabulated"

@@ -252,7 +252,7 @@ def test_sweep_blocks_match_the_point_loop(tmp_path, capsys):
         for kv in ks.tolist():
             kw = Wavevector4(w, kv)
             try:
-                _, direct, residual = cli._transform_point(model, kw, v, units)
+                _, direct, residual, _ = cli._transform_point(model, kw, v, units)
             except BoostResonance as exc:
                 skipped.append(f"skipped omega={w!r} k={kv!r}: BoostResonance: {exc}")
                 continue

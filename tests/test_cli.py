@@ -21,6 +21,7 @@ from ohmcov import (
     boost_sigma_direct,
     save_model,
 )
+from ohmcov import cli
 from ohmcov.cli import SWEEP_COLUMNS, load_sweep_csv, main, tabulated_from_sweep
 from ohmcov.verify import rel_error
 
@@ -451,3 +452,39 @@ def test_module_invocation_help():
     assert proc.returncode == 0
     assert "transform" in proc.stdout
     assert "verify" in proc.stdout
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    """In one process, each main call gives what the first call of a fresh
+    process gives; the argument parser is built once per process."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
+    model = model_path(tmp_path, Drude(2.0 + 0.5j, 0.7))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"type": "drude", "sigma0": [1.0, 0.0]}')
+    point = [f"--model={model}", "--velocity=0.3,0.1,0", "--omega=2", "--k=0.4,0,0.2"]
+    calls = [
+        ["transform", *point],
+        ["ohm", *point, "--E=1,0,0.5", "--format=csv"],
+        ["transform", *point, "--bogus=1"],  # argparse exits with 2
+        ["transform", f"--model={bad}", "--omega=1", "--k=0,0,0"],
+        ["verify", "--samples=20", "--seed=3", "--format=csv"],
+        ["transform", *point],
+    ]
+    src = str(Path(ohmcov.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def without_seconds(argv, out):  # verify's last column is its timing
+        return [row[:-1] for row in csv.reader(io.StringIO(out))] if argv[0] == "verify" else out
+
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ohmcov", *argv], capture_output=True, text=True, env=env)
+        assert (code, without_seconds(argv, out), err) == (
+            fresh.returncode, without_seconds(argv, fresh.stdout), fresh.stderr
+        ), argv
+        assert code == (2 if argv in calls[2:4] else 0)
+    assert cli._build_parser.cache_info().misses == 1

@@ -255,3 +255,41 @@ def test_tabulated_samples_parse(tmp_path):
     path.write_text(json.dumps(doc))
     model = load_model(path)
     np.testing.assert_array_equal(model.evaluate(Wavevector4(1.0, np.zeros(3))), np.eye(3))
+
+
+@pytest.mark.parametrize("interpolation", ["linear-in-omega", "nearest"])
+def test_tabulated_document_matches_pairs(interpolation):
+    """A table read from a document is the table built from its (point,
+    tensor) pairs, to the bit, signed zeros included."""
+    rng = np.random.default_rng(17)
+    ks = rng.uniform(-1.0, 1.0, (4, 3))
+    ks[2, 1] = -0.0
+    pairs = []
+    for kvec in ks:
+        for w in np.sort(rng.uniform(0.5, 6.0, 9)):
+            pairs.append((Wavevector4(w, kvec), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))))
+    pairs[5][1][0, 1] = complex(2.5, -0.0)
+    pairs[11][1][2, 2] = complex(-0.0, -0.0)
+    built = Tabulated(pairs, interpolation=interpolation)
+    text = json.dumps(model_to_dict(built))
+    assert "-0.0" in text
+
+    loaded = load_model(io.StringIO(text))
+    assert loaded == built
+    assert json.dumps(model_to_dict(loaded)) == text  # signed zeros round-trip too
+    assert np.signbit(loaded.samples[5][1][0, 1].imag) and np.signbit(loaded.samples[11][1][2, 2].real)
+    omega = rng.uniform(0.5, 6.0, 500)
+    k = rng.uniform(-1.2, 1.2, (500, 3))
+    inside = [built._spans[np.argmin(np.linalg.norm(built._kpoints - kv, axis=1))] for kv in k]
+    keep = np.array([lo <= w <= hi for w, (lo, hi) in zip(omega, inside)])
+    assert keep.sum() > 300
+    a, b = loaded.evaluate_batch(omega[keep], k[keep]), built.evaluate_batch(omega[keep], k[keep])
+    assert a.tobytes() == b.tobytes()
+
+    # tuples and float subclasses are not plain JSON but are valid input
+    doc = json.loads(text)
+    doc["samples"] = [
+        dict(omega=np.float64(e["omega"]), k=tuple(e["k"]), sigma=tuple(tuple(map(tuple, row)) for row in e["sigma"]))
+        for e in doc["samples"]
+    ]
+    assert model_from_dict(doc) == built

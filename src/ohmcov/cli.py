@@ -270,7 +270,7 @@ def _transform_point(model: MaterialModel, kw: Wavevector4, v: np.ndarray, units
     """
     sample = FrameSample(model.evaluate(kw), kw)
     bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
-    direct = _one(_direct, sample, bp)  # boost_sigma_direct(sample, v, units), with this bp
+    direct = _one(_direct, sample, bp)
     oracle = transform_sigma_oracle(sample, bp.matrix(), units)
     return sample, direct, rel_error(direct.sigma, oracle.sigma), bp.gamma  # both move (k, omega) by the same code
 

@@ -32,7 +32,6 @@ mirrored nodes present in the table.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -338,75 +337,74 @@ def _as_vec3(x, where: str) -> list[float]:
     return [_as_real(v, f"{where}[{i}]") for i, v in enumerate(x)]
 
 
-def _as_tensor(x, where: str) -> list:
-    """A 3x3 tensor of [re, im] pairs, as nested lists of floats."""
+def _as_tensor(x, where: str) -> np.ndarray:
     if not (isinstance(x, (list, tuple)) and len(x) == 3):
         raise ParseError(f"{where}: expected 3 rows, got {x!r}")
     rows = []
     for i, row in enumerate(x):
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise ParseError(f"{where}[{i}]: expected 3 entries, got {row!r}")
-        rows.append([_pair(_as_pair(e, f"{where}[{i}][{j}]")) for j, e in enumerate(row)])
-    return rows
+        rows.append([_as_pair(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)])
+    return np.array(rows, dtype=complex)
 
 
 _SAMPLE_KEYS = {"omega", "k", "sigma"}
 
 
-def _sample(entry, where: str) -> tuple:
-    """A tabulated sample's omega, k and sigma as floats; ParseError, or
-    InvariantViolation for a non-finite point, naming what is wrong."""
+def _sample_fault(entry, where: str) -> None:
+    """Raise the error of a tabulated sample's first fault, read a field at a
+    time: ParseError, or InvariantViolation for a non-finite point."""
     if not isinstance(entry, dict):
         raise ParseError(f"{where}: expected an object")
     _no_extras(entry, _SAMPLE_KEYS, where)
     omega = _as_real(_want(entry, "omega", where), where + ".omega")
-    k = _as_vec3(_want(entry, "k", where), where + ".k")
-    Wavevector4(omega, k)  # the point is checked before its tensor is read
-    return omega, k, _as_tensor(_want(entry, "sigma", where), where + ".sigma")
+    Wavevector4(omega, _as_vec3(_want(entry, "k", where), where + ".k"))  # the point before its tensor
+    _as_tensor(_want(entry, "sigma", where), where + ".sigma")
 
 
-def _joined(lists: list, n: int) -> list | None:
-    """The items of lists, one after another, if each is a list of n items."""
-    if set(map(type, lists)) <= {list} and set(map(len, lists)) <= {n}:
-        return list(itertools.chain.from_iterable(lists))
+def _reals(xs: list) -> list[float] | None:
+    """xs as floats, converted in order, if each passes _as_real; None otherwise."""
+    types = set(map(type, xs))
+    if bool not in types and all(issubclass(t, (int, float)) for t in types):
+        return list(map(float, xs))
     return None
 
 
-def _plain_fields(samples) -> tuple | None:
-    """The omegas, k components and sigma [re, im] parts, each as one flat
-    list, of samples made of plain JSON objects, lists, ints and floats and
-    shaped as _sample accepts them, checked a field at a time; None for any
-    other samples.  Finiteness is not checked."""
-    if not (set(map(type, samples)) <= {dict} and all(e.keys() == _SAMPLE_KEYS for e in samples)):
+def _read_sample(entry) -> tuple | None:
+    """A tabulated sample's point [omega, kx, ky, kz] and the 18 floats of its
+    sigma [re, im] pairs, row by row; None where _sample_fault finds a fault."""
+    if not (isinstance(entry, dict) and entry.keys() == _SAMPLE_KEYS):
         return None
-    omegas, ks, sigmas = ([e[key] for e in samples] for key in ("omega", "k", "sigma"))
-    rows = _joined(sigmas, 3)
-    pairs = None if rows is None else _joined(rows, 3)
-    fields = omegas, _joined(ks, 3), None if pairs is None else _joined(pairs, 2)
-    if None in fields or not set(map(type, itertools.chain(*fields))) <= {int, float}:
+    k, sigma = entry["k"], entry["sigma"]
+    if not (isinstance(k, (list, tuple)) and len(k) == 3 and isinstance(sigma, (list, tuple)) and len(sigma) == 3
+            and all(isinstance(row, (list, tuple)) and len(row) == 3 for row in sigma)):
         return None
-    return fields
+    pairs = [*sigma[0], *sigma[1], *sigma[2]]
+    if not all(isinstance(z, (list, tuple)) and len(z) == 2 for z in pairs):
+        return None
+    point = _reals([entry["omega"], *k])
+    if point is None or not all(map(math.isfinite, point)):
+        return None
+    parts = _reals([x for z in pairs for x in z])
+    return None if parts is None else (point, parts)
 
 
 def _tabulated_nodes(samples, where: str) -> _Nodes:
-    """The samples of a tabulated document as arrays.  Samples that fail the
-    plain check are read one by one, which formats the location of the first
-    bad entry only to raise its error; flat or nested, reshape orders the
-    numbers alike."""
+    """The samples of a tabulated document as arrays, read in one walk that
+    formats a sample's location only to raise its error."""
     if not isinstance(samples, (list, tuple)):
         raise ParseError(f"{where}.samples: expected an array")
-    fields = _plain_fields(samples)
-    try:
-        arrays = None if fields is None else [np.array(field, dtype=float) for field in fields]
-    except OverflowError:  # an int beyond float range, which the walk below reaches in document order
-        arrays = None
-    if arrays is None or not (np.isfinite(arrays[0]).all() and np.isfinite(arrays[1]).all()):
-        fields = zip(*[_sample(e, f"{where}.samples[{i}]") for i, e in enumerate(samples)])
-        arrays = [np.array(field, dtype=float) for field in fields]
-    omega, k, sigma = arrays
+    points, parts = [], []
+    for i, entry in enumerate(samples):
+        sample = _read_sample(entry)
+        if sample is None:
+            _sample_fault(entry, f"{where}.samples[{i}]")
+        points += sample[0]
+        parts += sample[1]
+    point = np.array(points, dtype=float).reshape(-1, 4)
     # [re, im] pairs read as complex keep the sign of a zero part, which re + 1j * im would not
-    sigma = sigma.reshape(-1, 3, 3, 2).view(complex)[..., 0]
-    return _Nodes(omega, k.reshape(-1, 3), sigma)
+    sigma = np.array(parts, dtype=float).reshape(-1, 3, 3, 2).view(complex)[..., 0]
+    return _Nodes(point[:, 0], point[:, 1:], sigma)
 
 
 def _pair(z: complex) -> list[float]:

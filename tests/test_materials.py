@@ -293,3 +293,34 @@ def test_tabulated_document_matches_pairs(interpolation):
         for e in doc["samples"]
     ]
     assert model_from_dict(doc) == built
+
+
+def _with_sigma_entry(value):
+    entry = {"omega": 2.0, "k": [0.0, 0.0, 0.0], "sigma": [[[1.0, 0.0]] * 3 for _ in range(3)]}
+    entry["sigma"][1] = [[1.0, 0.0], [1.0, value], [1.0, 0.0]]
+    return entry
+
+
+@pytest.mark.parametrize("entry, error, where", [
+    ([1.0], ParseError, ": expected an object"),
+    ({"omega": 2.0, "k": [0.0, 0.0, 0.0]}, ParseError, ": missing field 'sigma'"),
+    ({"omega": True, "k": [0.0, 0.0, 0.0], "sigma": []}, ParseError, ".omega: expected a real number"),
+    ({"omega": np.int64(2), "k": [0.0, 0.0, 0.0], "sigma": []}, ParseError, ".omega: expected a real number"),
+    ({"omega": 2.0, "k": [0.0, float("nan"), 0.0], "sigma": []}, InvariantViolation, "kvec entries must be finite"),
+    ({"omega": 2.0, "k": (0.0, 0.0), "sigma": []}, ParseError, ".k: expected a 3-vector"),
+    ({"omega": 2.0, "k": [0.0, 0.0, 0.0], "sigma": [[]] * 3}, ParseError, ".sigma[0]: expected 3 entries"),
+    (_with_sigma_entry("0"), ParseError, ".sigma[1][1][1]: expected a real number"),
+    (_with_sigma_entry(None), ParseError, ".sigma[1][1][1]: expected a real number"),
+    (_with_sigma_entry(False), ParseError, ".sigma[1][1][1]: expected a real number"),
+])
+def test_tabulated_sample_fault_is_located(entry, error, where):
+    """The sample walk refuses an entry exactly when the field-by-field
+    checks raise for it, and the error names that entry."""
+    good = {"omega": 1.0, "k": [0.0, 0.0, 0.0], "sigma": [[[1.0, 0.0]] * 3 for _ in range(3)]}
+    doc = {"type": "tabulated", "samples": [good, entry, dict(good, extra=1)]}
+    with pytest.raises(error) as info:
+        model_from_dict(doc, where="m")
+    if error is ParseError:
+        assert str(info.value).startswith("m.samples[1]" + where)
+    else:
+        assert where in str(info.value)

@@ -87,7 +87,6 @@ def _columns(layout) -> list[str]:
 
 
 SWEEP_COLUMNS = _columns(_SWEEP)
-_SWEEP_KEYS = [key for key, _, _ in _SWEEP]
 
 SWEEP_BLOCK = 1024  # grid points per kernel call: spreads numpy's cost per call, bounds the temporaries
 
@@ -227,32 +226,38 @@ def _pairs(values: np.ndarray) -> list:
     return np.stack([np.real(values), np.imag(values)], axis=-1).tolist()
 
 
-def _cells(record: dict, key: str, kind: str) -> list:
-    value = record
-    for part in key.split("."):
-        value = None if value is None else value[part]
-    if value is None:
-        return [""] * len(_SUFFIXES[kind])
-    cells = [value]
-    while isinstance(cells[0], list):
-        cells = [x for part in cells for x in part]
-    return cells
+def _cells(layout, record: dict) -> list:
+    """The record's values, flattened, as one CSV row in the layout's columns."""
+    row = []
+    for key, _, kind in layout:
+        value = record
+        for part in key.split("."):
+            value = None if value is None else value[part]
+        cells = [""] * len(_SUFFIXES[kind]) if value is None else [value]
+        while isinstance(cells[0], list):
+            cells = [x for part in cells for x in part]
+        row += cells
+    return row
 
 
-def _emit(fmt: str, path: str | None, doc, layout, records: list[dict]) -> None:
-    """Write doc as JSON, or the records as CSV rows in the layout's columns."""
+def _emit(fmt: str, path: str | None, doc, layout, rows: list[list]) -> None:
+    """Write doc as JSON, or the flat rows as CSV in the layout's columns."""
     if fmt == "structured":
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_columns(layout))
-        writer.writerows([c for key, _, kind in layout for c in _cells(r, key, kind)] for r in records)
-        text = buf.getvalue()
+        # csv.writer's bytes: no cell (float, int, bool, blank, suite name) needs quoting
+        text = "".join([",".join(_columns(layout)) + "\n", *[",".join(map(str, row)) + "\n" for row in rows]])
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _sweep_record(row: list) -> dict:
+    """A row in SWEEP_COLUMNS order as its JSON record."""
+    pairs = [row[i:i + 2] for i in range(8, 26, 2)]  # sigma_prime's [re, im], row by row
+    return {"omega": row[0], "k": row[1:4], "omega_prime": row[4], "k_prime": row[5:8],
+            "sigma_prime": [pairs[0:3], pairs[3:6], pairs[6:9]], "residual": row[26]}
 
 
 def _point(kw: Wavevector4, kw_p: Wavevector4) -> dict:
@@ -291,7 +296,7 @@ def cmd_transform(args) -> int:
         "sigma_prime": _pairs(direct.sigma),
         "residual": residual,
     }
-    _emit(fmt, path, record, _TRANSFORM, [record])
+    _emit(fmt, path, record, _TRANSFORM, [_cells(_TRANSFORM, record)])
     return 0
 
 
@@ -304,7 +309,7 @@ def cmd_sweep(args) -> int:
     bp = BoostParams(v, units)  # reject superluminal input before looping
     grid_omega, grid_k = np.repeat(omegas, len(ks)), np.tile(ks, (len(omegas), 1))  # omega-major
 
-    records = []
+    tables = []  # per block, the kept rows in SWEEP_COLUMNS order
     skipped = []
     for start in range(0, len(grid_omega), SWEEP_BLOCK):
         omega, k = grid_omega[start:start + SWEEP_BLOCK], grid_k[start:start + SWEEP_BLOCK]
@@ -315,26 +320,30 @@ def cmd_sweep(args) -> int:
             residual = _rel_errors(sigma_p, oracle[0])
         bad |= _unusable(sigma, omega, k) | direct_bad | _unusable(sigma_p, omega_p, k_p) | oracle[3]
         bad |= _unusable(*oracle[:3])
-        columns = (omega.tolist(), k.tolist(), omega_p.tolist(), k_p.tolist(), _pairs(sigma_p), residual.tolist())
-        rows = [dict(zip(_SWEEP_KEYS, row)) for row in zip(*columns)]
+        n = len(omega)
+        table = np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(n, 18), residual))
+        keep = np.ones(n, dtype=bool)
         for i in np.flatnonzero(bad):  # alone, each raises what it always raised
             kw = Wavevector4(omega[i], k[i])
             try:  # should it pass, the block's row holds the same numbers
                 _transform_point(model, kw, v, units)
             except (BoostResonance, StaticFrequency, OutOfRange) as exc:
                 skipped.append((kw, f"{type(exc).__name__}: {exc}"))
-                rows[i] = None
-        records += [row for row in rows if row is not None]
+                keep[i] = False
+        tables.append(table[keep])
     for kw, reason in skipped:
         print(f"skipped omega={kw.omega!r} k={kw.kvec.tolist()!r}: {reason}", file=sys.stderr)
-    if not records:
+    rows = np.concatenate(tables).tolist()
+    if not rows:
         print("sweep produced no rows: every grid point was skipped", file=sys.stderr)
         return 3
-    doc = {
-        "rows": records,
-        "skipped": [{"omega": kw.omega, "k": kw.kvec.tolist(), "reason": reason} for kw, reason in skipped],
-    }
-    _emit(fmt, path, doc, _SWEEP, records)
+    doc = None
+    if fmt == "structured":
+        doc = {
+            "rows": [_sweep_record(row) for row in rows],
+            "skipped": [{"omega": kw.omega, "k": kw.kvec.tolist(), "reason": reason} for kw, reason in skipped],
+        }
+    _emit(fmt, path, doc, _SWEEP, rows)
     return 0
 
 
@@ -382,7 +391,7 @@ def cmd_ohm(args) -> int:
         "drift": _pairs(gen.drift_current),
         "textbook": textbook,
     }
-    _emit(fmt, path, record, _OHM, [record])
+    _emit(fmt, path, record, _OHM, [_cells(_OHM, record)])
     return 0
 
 
@@ -397,7 +406,7 @@ def cmd_verify(args) -> int:
     results = run_all(seed, samples, units, fault=fault)
     suites = [{key: getattr(r, key) for key, _, _ in _VERIFY} for r in results]
     doc = {"seed": seed, "samples": samples, "passed": all(r.passed for r in results), "suites": suites}
-    _emit(fmt, path, doc, _VERIFY, suites)
+    _emit(fmt, path, doc, _VERIFY, [_cells(_VERIFY, s) for s in suites])
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)

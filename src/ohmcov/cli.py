@@ -120,9 +120,9 @@ def _float_list(text: str, name: str) -> list[float]:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-# JSON types: bool is a subclass of int in Python but never a number here.
+# JSON types: bool is a subclass of int in Python but never a number here, nor is an int beyond float range.
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return isinstance(x, float) or (_is_int(x) and abs(x) <= sys.float_info.max)
 
 
 def _is_int(x) -> bool:
@@ -159,6 +159,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal of more digits than Python converts
+        raise ConfigError(f"{path}: unreadable number: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be an object")
     extras = set(doc) - _CONFIG_KEYS

@@ -62,6 +62,8 @@ REALITY_TOL = 1e-10
 
 _INTERPOLATIONS = ("linear-in-omega", "nearest")
 
+_NEAREST_CELLS = 1 << 14  # (point, k column) pairs per nearest-k broadcast
+
 
 class MaterialModel:
     """Base class; concrete models implement _evaluate(omega, k), which returns sigma at N
@@ -251,8 +253,16 @@ class Tabulated(MaterialModel):
             f"real_fields={self.real_fields!r})"
         )
 
+    def _nearest(self, k: np.ndarray) -> np.ndarray:
+        """The index of each point's nearest k column; of equidistant columns the first."""
+        step = max(1, _NEAREST_CELLS // len(self._kpoints))  # points per broadcast: bounds its temporary
+        return np.concatenate([
+            np.linalg.norm(k[i:i + step, None, :] - self._kpoints[None], axis=2).argmin(axis=1)
+            for i in range(0, max(len(k), 1), step)
+        ])
+
     def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
-        near = np.array([np.argmin(np.linalg.norm(self._kpoints - kv, axis=1)) for kv in k], dtype=int)
+        near = self._nearest(k)
         sigma = np.empty((len(omega), 3, 3), dtype=complex)
         for col in set(near.tolist()):
             omegas, tensors = self._columns[col]
@@ -322,7 +332,10 @@ def _no_extras(doc: dict, allowed: set, where: str) -> None:
 def _as_real(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ParseError(f"{where}: expected a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParseError(f"{where}: expected a real number, got an integer beyond float range") from None
 
 
 def _as_pair(x, where: str) -> complex:
@@ -365,9 +378,12 @@ def _sample_fault(entry, where: str) -> None:
 def _reals(xs: list) -> list[float] | None:
     """xs as floats, converted in order, if each passes _as_real; None otherwise."""
     types = set(map(type, xs))
-    if bool not in types and all(issubclass(t, (int, float)) for t in types):
+    if bool in types or not all(issubclass(t, (int, float)) for t in types):
+        return None
+    try:
         return list(map(float, xs))
-    return None
+    except OverflowError:  # an int beyond float range, which _as_real locates
+        return None
 
 
 def _read_sample(entry) -> tuple | None:
@@ -502,6 +518,8 @@ def load_model(source) -> MaterialModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal of more digits than Python converts
+        raise ParseError(f"{where}: unreadable number: {exc}") from exc
     return model_from_dict(doc, where=where)
 
 

@@ -8,6 +8,8 @@ recorded CLI outputs.  The sweep runs the kernels in blocks and must match
 the point-by-point loop across block edges.
 """
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -32,7 +34,7 @@ from ohmcov import (
     inverse,
     transform_sigma_oracle,
 )
-from ohmcov import cli
+from ohmcov import cli, materials
 from ohmcov.response import _reconstruct
 from ohmcov.transform import _direct, _oracle, _unusable
 
@@ -218,6 +220,38 @@ def test_evaluate_batch_is_n_single_calls(rng, name):
     assert str(info.value) == str(first)
 
 
+@pytest.mark.parametrize("interpolation", ["linear-in-omega", "nearest"])
+def test_nearest_column_search_is_per_point(rng, monkeypatch, interpolation):
+    """The broadcast nearest-k search, in chunks, picks the column of the
+    per-point argmin, the first of equidistant ones, and evaluate_batch
+    gives the same bits as with the per-point search."""
+    ties = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
+    far = rng.uniform(1.5, 2.5, (36, 3)) * rng.choice([-1.0, 1.0], (36, 3))  # never nearest to a tie below
+    columns = ties + far.tolist()
+    nodes = [(Wavevector4(w, kv), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+             for kv in columns for w in (0.5, rng.uniform(1.0, 4.0), 5.0)]
+    model = Tabulated(nodes, interpolation=interpolation)
+    n = 1000
+    omega = rng.uniform(0.5, 5.0, n)
+    k = rng.uniform(-2.5, 2.5, (n, 3))
+    tied_at = np.arange(0, n, 97)  # equidistant from two or three columns, in every chunk
+    k[tied_at] = np.resize([[0.5, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.0], [-0.5, 0.5, 0.0]], (len(tied_at), 3))
+    assert n > materials._NEAREST_CELLS // len(columns)  # more than one chunk
+
+    def per_point(k):
+        return np.array([np.argmin(np.linalg.norm(model._kpoints - kv, axis=1)) for kv in k], dtype=int)
+
+    near = model._nearest(k)
+    assert_same_bits(near, per_point(k))
+    for i in tied_at:
+        dist = np.linalg.norm(model._kpoints - k[i], axis=1)
+        tied = np.flatnonzero(dist == dist.min())
+        assert len(tied) > 1 and near[i] == tied[0]
+    sigma = model.evaluate_batch(omega, k)
+    monkeypatch.setattr(model, "_nearest", per_point)
+    assert_same_bits(sigma, model.evaluate_batch(omega, k))
+
+
 def test_tabulated_out_of_range_text():
     model = Tabulated([(Wavevector4(w, [0.5, 0.0, 0.0]), w * np.eye(3)) for w in (1.0, 3.0)])
     span = f"[{np.float64(1.0)!r}, {np.float64(3.0)!r}]"
@@ -262,3 +296,52 @@ def test_sweep_blocks_match_the_point_loop(tmp_path, capsys):
             assert row["residual"] == residual
     assert next(rows, None) is None
     assert skipped and capsys.readouterr().err.splitlines() == skipped
+
+
+def flatten(value):
+    return [c for part in value for c in flatten(part)] if isinstance(value, list) else [value]
+
+
+def test_sweep_csv_cells_are_the_structured_values(tmp_path, capsys):
+    """Over three blocks, with skipped points on both sides of the edges and
+    cells such as -0.0, 1e-300, 1e+16 and 1e-05, each CSV cell is repr of the
+    structured output's value, and the CSV text is what csv.writer writes
+    for those rows: no cell needs quoting."""
+    rng = np.random.default_rng(3)
+    v = np.array([0.1, 0.5, -0.2])
+    ks = rng.uniform(-3.0, 3.0, (50, 3))
+    ks[1], ks[2], ks[3] = [-0.0, 1e-300, 0.5], [1e-5, 0.25, -0.0], [0.3, 1e16, -0.2]
+    omegas = rng.uniform(0.5, 6.0, 45)
+    omegas[5] = 1e-5
+    omegas[20] = 0.0  # grid points 1000-1049 are static, across the first block edge
+    omegas[40] = float(v @ ks[48])  # grid point 2048, the third block's first, is resonant
+    assert len(omegas) * len(ks) > 2 * cli.SWEEP_BLOCK
+    model_path = tmp_path / "drude.json"
+    model_path.write_text(json.dumps({"type": "drude", "sigma0": [2.0, -0.5], "tau": 0.5}))
+    argv = [
+        "sweep", f"--model={model_path}", "--velocity=" + ",".join(map(repr, v.tolist())),
+        "--omega=" + ",".join(map(repr, omegas.tolist())),
+        "--k=" + ";".join(",".join(map(repr, kv)) for kv in ks.tolist()),
+    ]
+    outputs = {}
+    for fmt in ("csv", "structured"):
+        assert cli.main(argv + [f"--format={fmt}"]) == 0
+        outputs[fmt] = capsys.readouterr()
+    assert outputs["csv"].err == outputs["structured"].err
+    doc = json.loads(outputs["structured"].out)
+    assert len(doc["skipped"]) == 51 and outputs["csv"].err.count("skipped omega=") == 51
+    keys = ["omega", "k", "omega_prime", "k_prime", "sigma_prime", "residual"]
+    assert all(list(record) == keys for record in doc["rows"])
+    rows = [flatten([record[key] for key in keys]) for record in doc["rows"]]
+    assert len(rows) == len(omegas) * len(ks) - 51
+
+    text = outputs["csv"].out
+    lines = text.splitlines()
+    assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
+    assert [line.split(",") for line in lines[1:]] == [[repr(x) for x in row] for row in rows]
+    assert {"-0.0", "1e-300", "1e+16", "1e-05"} <= {cell for line in lines[1:] for cell in line.split(",")}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.SWEEP_COLUMNS)
+    writer.writerows(rows)
+    assert text == buf.getvalue()

@@ -118,6 +118,45 @@ def test_transform_invalid_model_exit_2(tmp_path, capsys):
     assert "line" in err
 
 
+BIG = "1" + "0" * 400  # an integer literal beyond float range
+IDENTITY = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"type": "constant-scalar", "sigma0": ["BIG", 0.0]}, "big.json.sigma0[0]"),
+        ({"type": "drude", "sigma0": [1.0, 0.0], "tau": "BIG"}, "big.json.tau"),
+        (
+            {"type": "tabulated", "samples": [
+                {"omega": 1.0, "k": [0.0, 0.0, 0.0], "sigma": IDENTITY},
+                {"omega": 2.0, "k": [0.0, 0.0, 0.0], "sigma": [IDENTITY[0], [[0, 0], [1, "BIG"], [0, 0]], IDENTITY[2]]},
+            ]},
+            "big.json.samples[1].sigma[1][1][1]",
+        ),
+        (
+            {"type": "tabulated", "samples": [{"omega": 1.0, "k": [0.0, "BIG", 0.0], "sigma": IDENTITY}]},
+            "big.json.samples[0].k[1]",
+        ),
+    ],
+    ids=["constant", "drude", "tabulated-sigma", "tabulated-k"],
+)
+def test_transform_overflowing_integer_exit_2(tmp_path, capsys, doc, where):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', BIG))
+    code, out, err = run_cli(capsys, "transform", f"--model={path}", "--omega=1", "--k=0,0,0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / where}: expected a real number, got an integer beyond float range\n"
+
+
+def test_transform_overlong_integer_exit_2(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"type": "constant-scalar", "sigma0": [1%s, 0.0]}' % ("0" * 5000))
+    code, out, err = run_cli(capsys, "transform", f"--model={path}", "--omega=1", "--k=0,0,0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: unreadable number: ")
+
+
 def test_transform_output_file(tmp_path, capsys):
     path = model_path(tmp_path, ConstantScalar(1.0))
     dest = tmp_path / "out.json"
@@ -244,6 +283,9 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
         ("transform", {**point, "velocity": [True, 0.0, 0.0]}, "velocity"),
         ("sweep", {**point, "grid": {"omega": [True], "k": [[0.0, 0.0, 0.0]]}}, "omega"),
         ("sweep", {**point, "grid": {"omega": [1.0], "k": [[0.0, False, 0.0]]}}, "'k'"),
+        # integers beyond float range are not numbers either
+        ("transform", {**point, "velocity": [0, 10**400, 0]}, "velocity"),
+        ("sweep", {**point, "grid": {"omega": [-(10**400)], "k": [[0.0, 0.0, 0.0]]}}, "omega"),
     ]
     cfg = tmp_path / "run.json"
     for command, config, word in bad:

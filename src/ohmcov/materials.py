@@ -281,7 +281,7 @@ class Tabulated(MaterialModel):
 
     def _require_evaluable(self, w: float, col: int) -> None:
         require_dynamic(w)
-        lo, hi = self._spans[col]
+        lo, hi = self._spans[col].tolist()
         if w < lo or w > hi:
             k = self._kpoints[col].tolist()
             raise OutOfRange(f"omega = {w!r} outside the tabulated span [{lo!r}, {hi!r}] at k = {k!r}")

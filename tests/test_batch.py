@@ -254,7 +254,7 @@ def test_nearest_column_search_is_per_point(rng, monkeypatch, interpolation):
 
 def test_tabulated_out_of_range_text():
     model = Tabulated([(Wavevector4(w, [0.5, 0.0, 0.0]), w * np.eye(3)) for w in (1.0, 3.0)])
-    span = f"[{np.float64(1.0)!r}, {np.float64(3.0)!r}]"
+    span = "[1.0, 3.0]"
     with pytest.raises(OutOfRange) as info:
         model.evaluate(Wavevector4(3.5, [0.4, 0.0, 0.0]))
     assert str(info.value) == f"omega = 3.5 outside the tabulated span {span} at k = [0.5, 0.0, 0.0]"

@@ -256,10 +256,10 @@ def _emit(fmt: str, path: str | None, doc, layout, rows: list[list]) -> None:
 
 
 def _sweep_record(row: list) -> dict:
-    """A row in SWEEP_COLUMNS order as its JSON record."""
-    pairs = [row[i:i + 2] for i in range(8, 26, 2)]  # sigma_prime's [re, im], row by row
+    """A row in SWEEP_COLUMNS order as its JSON record; sigma_prime's [re, im] pairs fill it row by row."""
+    sigma_p = [[row[i:i + 2] for i in range(j, j + 6, 2)] for j in (8, 14, 20)]
     return {"omega": row[0], "k": row[1:4], "omega_prime": row[4], "k_prime": row[5:8],
-            "sigma_prime": [pairs[0:3], pairs[3:6], pairs[6:9]], "residual": row[26]}
+            "sigma_prime": sigma_p, "residual": row[26]}
 
 
 def _point(kw: Wavevector4, kw_p: Wavevector4) -> dict:
@@ -311,7 +311,8 @@ def cmd_sweep(args) -> int:
     bp = BoostParams(v, units)  # reject superluminal input before looping
     grid_omega, grid_k = np.repeat(omegas, len(ks)), np.tile(ks, (len(omegas), 1))  # omega-major
 
-    tables = []  # per block, the kept rows in SWEEP_COLUMNS order
+    tables = []  # per block, its rows in SWEEP_COLUMNS order
+    keep = np.ones(len(grid_omega), dtype=bool)
     skipped = []
     for start in range(0, len(grid_omega), SWEEP_BLOCK):
         omega, k = grid_omega[start:start + SWEEP_BLOCK], grid_k[start:start + SWEEP_BLOCK]
@@ -322,29 +323,24 @@ def cmd_sweep(args) -> int:
             residual = _rel_errors(sigma_p, oracle[0])
         bad |= _unusable(sigma, omega, k) | direct_bad | _unusable(sigma_p, omega_p, k_p) | oracle[3]
         bad |= _unusable(*oracle[:3])
-        n = len(omega)
-        table = np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(n, 18), residual))
-        keep = np.ones(n, dtype=bool)
+        tables.append(np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual)))
         for i in np.flatnonzero(bad):  # alone, each raises what it always raised
             kw = Wavevector4(omega[i], k[i])
             try:  # should it pass, the block's row holds the same numbers
                 _transform_point(model, kw, v, units)
             except (BoostResonance, StaticFrequency, OutOfRange) as exc:
                 skipped.append((kw, f"{type(exc).__name__}: {exc}"))
-                keep[i] = False
-        tables.append(table[keep])
+                keep[start + i] = False
     for kw, reason in skipped:
         print(f"skipped omega={kw.omega!r} k={kw.kvec.tolist()!r}: {reason}", file=sys.stderr)
-    rows = np.concatenate(tables).tolist()
+    rows = np.concatenate(tables)[keep].tolist()
     if not rows:
         print("sweep produced no rows: every grid point was skipped", file=sys.stderr)
         return 3
-    doc = None
-    if fmt == "structured":
-        doc = {
-            "rows": [_sweep_record(row) for row in rows],
-            "skipped": [{"omega": kw.omega, "k": kw.kvec.tolist(), "reason": reason} for kw, reason in skipped],
-        }
+    doc = None if fmt == "csv" else {
+        "rows": [_sweep_record(row) for row in rows],
+        "skipped": [{"omega": kw.omega, "k": kw.kvec.tolist(), "reason": reason} for kw, reason in skipped],
+    }
     _emit(fmt, path, doc, _SWEEP, rows)
     return 0
 

@@ -258,7 +258,7 @@ class Tabulated(MaterialModel):
         step = max(1, _NEAREST_CELLS // len(self._kpoints))  # points per broadcast: bounds its temporary
         return np.concatenate([
             np.linalg.norm(k[i:i + step, None, :] - self._kpoints[None], axis=2).argmin(axis=1)
-            for i in range(0, max(len(k), 1), step)
+            for i in range(0, max(len(k), 1), step)  # one chunk at least: no points give an empty index array
         ])
 
     def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:

@@ -243,6 +243,7 @@ def test_nearest_column_search_is_per_point(rng, monkeypatch, interpolation):
 
     near = model._nearest(k)
     assert_same_bits(near, per_point(k))
+    assert_same_bits(model._nearest(k[:0]), per_point(k[:0]))
     for i in tied_at:
         dist = np.linalg.norm(model._kpoints - k[i], axis=1)
         tied = np.flatnonzero(dist == dist.min())

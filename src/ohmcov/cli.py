@@ -277,7 +277,7 @@ def _transform_point(model: MaterialModel, kw: Wavevector4, v: np.ndarray, units
     """
     sample = FrameSample(model.evaluate(kw), kw)
     bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
-    direct = _one(_direct, sample, bp)
+    direct = _one(_direct, sample.sigma, sample.at, bp)
     oracle = transform_sigma_oracle(sample, bp.matrix(), units)
     return sample, direct, rel_error(direct.sigma, oracle.sigma), bp.gamma  # both move (k, omega) by the same code
 
@@ -356,7 +356,7 @@ def cmd_ohm(args) -> int:
     try:
         sigma_p = model.evaluate(kw_p)
         fields = fields_from_electric(evec, kw)
-        gen = generalized_ohm(sigma_p, v, fields, units)
+        gen = generalized_ohm(sigma_p, bp, fields)
     except (BoostResonance, StaticFrequency, OutOfRange) as exc:
         raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
 
@@ -369,7 +369,7 @@ def cmd_ohm(args) -> int:
         )
     textbook = None
     if scalar:
-        tb = textbook_ohm(s0, v, fields, units)
+        tb = textbook_ohm(s0, bp, fields)
         nr = textbook_ohm_nr(s0, v, fields)
         textbook = {
             "drift": _pairs(tb),

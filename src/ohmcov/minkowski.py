@@ -59,15 +59,49 @@ GROUP_TOL = 1e-12
 ROTATION_TOL = 1e-10
 
 
-def _checked(x, shape: tuple, dtype, name: str) -> np.ndarray:
-    """x as an array of the given shape and dtype with finite entries;
-    InvariantViolation naming it otherwise."""
-    a = np.asarray(x, dtype=dtype)
-    if a.shape != shape:
-        raise InvariantViolation(f"{name} must have shape {shape}, got {a.shape}")
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """a itself; InvariantViolation naming it when an entry is not finite."""
     if not np.isfinite(a).all():
         raise InvariantViolation(f"{name} entries must be finite")
     return a
+
+
+def _checked(x, shape: tuple, dtype, name: str, stacked: bool = False) -> np.ndarray:
+    """x as an array of the given shape and dtype, or when stacked also a
+    stack of them along a leading axis, with finite entries;
+    InvariantViolation naming it otherwise."""
+    a = np.asarray(x, dtype=dtype)
+    if a.shape != shape and not (stacked and a.ndim == len(shape) + 1 and a.shape[1:] == shape):
+        raise InvariantViolation(f"{name} must have shape {shape}, got {a.shape}")
+    return _finite(a, name)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last axis of (..., 3) stacks; rounds as a @ b of two vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross(a, b) over the last axis of (..., 3) stacks: the same products
+    and differences, at half np.cross's fixed cost per call."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
+def _mat(x) -> np.ndarray:
+    """x with two trailing axes, to scale a 3x3 block or a stack of them."""
+    return np.asarray(x)[..., None, None]
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer(a, b) for vectors, or for each row of (N, 3) stacks."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _first(bad: np.ndarray) -> int:
+    """Index of the first True entry of a mask of any shape, flattened."""
+    return int(np.argmax(np.ravel(bad)))
 
 
 def _checked_rotation(rot) -> np.ndarray:
@@ -135,7 +169,13 @@ class Wavevector4:
 @dataclass(frozen=True)
 class BoostParams:
     """Velocity parameterization of a pure boost; gamma and the spatial
-    block are derived once at construction."""
+    block are derived once at construction, the 4x4 matrix on first use.
+
+    v may also be an (N, 3) stack of velocities, one boost per row: gamma
+    is then (N,), the blocks (N, 3, 3) and the matrix an (N, 4, 4) stack,
+    each row rounded as the boost of that velocity alone, and the first
+    row at or above the speed limit raises.
+    """
 
     v: np.ndarray
     units: UnitsConfig = NATURAL
@@ -143,56 +183,63 @@ class BoostParams:
     lambda_hat: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        v = _checked(self.v, (3,), float, "velocity")
+        v = _checked(self.v, (3,), float, "velocity", stacked=True)
         c = self.units.c
-        speed = float(np.sqrt(v @ v))
-        if speed / c > 1.0 - SPEED_MARGIN:
+        speed = np.sqrt(_dots(v, v))
+        over = speed / c > 1.0 - SPEED_MARGIN
+        if over.any():
+            speed = float(np.ravel(speed)[_first(over)])
             raise SpeedLimit(f"|v| = {speed!r} is at or above the speed of light c = {c!r}")
-        gamma = 1.0 / np.sqrt(1.0 - (speed / c) ** 2)
-        if speed > 0.0:
-            lhat = np.eye(3) + (gamma - 1.0) * np.outer(v, v) / (speed * speed)
-        else:
-            lhat = np.eye(3)
+        # float_power is libm's pow, as Python's ** on a float; numpy's ** squares
+        gamma = 1.0 / np.sqrt(1.0 - np.float_power(speed / c, 2))
+        # at rest gamma - 1 = 0, so a unit denominator leaves Lhat the identity
+        lhat = np.eye(3) + _mat(gamma - 1.0) * _outer(v, v) / _mat(np.where(speed > 0.0, speed * speed, 1.0))
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "gamma", float(gamma))
+        object.__setattr__(self, "gamma", gamma if v.ndim == 2 else float(gamma))
         object.__setattr__(self, "lambda_hat", lhat)
 
     @property
     def lambda_hat_inv(self) -> np.ndarray:
         """Inverse spatial block, 1 + (1/gamma - 1) v v^T / |v|^2."""
-        v = self.v
-        v2 = float(v @ v)
-        if v2 == 0.0:
-            return np.eye(3)
-        return np.eye(3) + (1.0 / self.gamma - 1.0) * np.outer(v, v) / v2
+        v2 = _dots(self.v, self.v)
+        return np.eye(3) + _mat(1.0 / self.gamma - 1.0) * _outer(self.v, self.v) / _mat(np.where(v2 == 0.0, 1.0, v2))
 
     def matrix(self) -> "LorentzMatrix":
-        """The 4x4 boost, [[gamma, -gamma v^T/c], [-gamma v/c, Lhat]]."""
-        c = self.units.c
-        m = np.empty((4, 4))
-        m[0, 0] = self.gamma
-        m[0, 1:] = -self.gamma * self.v / c
-        m[1:, 0] = -self.gamma * self.v / c
-        m[1:, 1:] = self.lambda_hat
-        return LorentzMatrix(m)
+        """The 4x4 boost, [[gamma, -gamma v^T/c], [-gamma v/c, Lhat]],
+        built and checked once per BoostParams."""
+        if "_matrix" not in self.__dict__:
+            gamma = np.asarray(self.gamma)
+            m = np.empty(self.v.shape[:-1] + (4, 4))
+            m[..., 0, 0] = gamma
+            m[..., 0, 1:] = -gamma[..., None] * self.v / self.units.c
+            m[..., 1:, 0] = m[..., 0, 1:]
+            m[..., 1:, 1:] = self.lambda_hat
+            object.__setattr__(self, "_matrix", LorentzMatrix(m))
+        return self.__dict__["_matrix"]
 
 
 @dataclass(frozen=True)
 class LorentzMatrix:
-    """Real 4x4 element of O(1,3); membership is checked at construction."""
+    """Real 4x4 element of O(1,3), or an (N, 4, 4) stack of them;
+    membership is checked at construction."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _checked(self.entries, (4, 4), float, "Lorentz matrix")
+        m = _checked(self.entries, (4, 4), float, "Lorentz matrix", stacked=True)
         # Each entry of m^T eta m sums four products of entries, each off by
         # about eps |m_ij| |m_kl| after rounding, so a member of O(1,3) stored
         # in floating point has a residual up to a few eps max|m|^2; a fast
-        # boost has max|m| = gamma, a rotation or flip 1.
-        tol = GROUP_TOL * max(1.0, float(np.abs(m).max())) ** 2
-        resid = float(np.max(np.abs(m.T @ ETA @ m - ETA)))
-        if resid > tol:
-            raise InvariantViolation(f"matrix is not in O(1,3): metric residual {resid:.3e} exceeds {tol:.1e}")
+        # boost has max|m| = gamma, a rotation or flip 1.  A stack is checked
+        # matrix by matrix, and its first failing matrix raises.
+        tol = GROUP_TOL * np.float_power(np.maximum(1.0, np.abs(m).max(axis=(-2, -1))), 2)
+        resid = np.abs(np.swapaxes(m, -1, -2) @ ETA @ m - ETA).max(axis=(-2, -1))
+        outside = resid > tol
+        if outside.any():
+            i = _first(outside)
+            raise InvariantViolation(
+                f"matrix is not in O(1,3): metric residual {np.ravel(resid)[i]:.3e} exceeds {np.ravel(tol)[i]:.1e}"
+            )
         object.__setattr__(self, "entries", m)
 
     @property
@@ -231,7 +278,7 @@ def compose(a: LorentzMatrix, b: LorentzMatrix) -> LorentzMatrix:
 
 def inverse(lam: LorentzMatrix) -> LorentzMatrix:
     """Group inverse eta Lambda^T eta; exact, no linear solve involved."""
-    return LorentzMatrix(ETA @ lam.entries.T @ ETA)
+    return LorentzMatrix(ETA @ np.swapaxes(lam.entries, -1, -2) @ ETA)
 
 
 def transform_wavevector(lam: LorentzMatrix, kw: Wavevector4, units: UnitsConfig = NATURAL) -> Wavevector4:
@@ -245,10 +292,14 @@ def transform_wavevector(lam: LorentzMatrix, kw: Wavevector4, units: UnitsConfig
 
 
 def _transform_points(lam: LorentzMatrix, omega: np.ndarray, kvec: np.ndarray, units: UnitsConfig):
-    """transform_wavevector for N points: omega' (N,) and k' (N, 3)."""
-    four = np.concatenate(((omega / units.c)[:, None], kvec), axis=1)
-    four_p = (lam.entries @ four[:, :, None])[:, :, 0]
+    """transform_wavevector for N points, by one matrix or a stack of N: omega' (N,) and k' (N, 3)."""
+    four_p = (lam.entries @ _fours(omega, kvec, units)[:, :, None])[:, :, 0]
     return units.c * four_p[:, 0], four_p[:, 1:]
+
+
+def _fours(omega: np.ndarray, kvec: np.ndarray, units: UnitsConfig) -> np.ndarray:
+    """Wavevector4.four for N points: (N, 4)."""
+    return np.concatenate(((omega / units.c)[:, None], kvec), axis=1)
 
 
 def decompose(

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _checked
-from .response import PotentialSet, require_dynamic
-from .transform import projector_inverse
+from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _checked, _cross, _dots, _first, _outer
+from .response import PotentialSet, _real_quotient, require_dynamic
+from .transform import _require_off_resonance
 
 __all__ = [
     "FieldSet",
@@ -58,44 +58,68 @@ class FieldSet:
     def __post_init__(self) -> None:
         e = _checked(self.E, (3,), complex, "E")
         b = _checked(self.B, (3,), complex, "B")
-        w = self.at.omega
-        k = self.at.kvec
-        resid = float(np.max(np.abs(w * b - np.cross(k, e))))
-        scale = abs(w) * float(np.max(np.abs(b))) + float(np.max(np.abs(k))) * float(np.max(np.abs(e)))
-        if resid > FARADAY_TOL * scale:
-            raise InvariantViolation(
-                f"omega B != k x E (residual {resid:.3e} against scale {scale:.3e}); "
-                "derive B from the potential or from E"
-            )
+        _require_faraday(e[None], b[None], np.array([self.at.omega]), self.at.kvec[None])
         object.__setattr__(self, "E", e)
         object.__setattr__(self, "B", b)
 
 
+def _require_faraday(e: np.ndarray, b: np.ndarray, omega: np.ndarray, k: np.ndarray) -> None:
+    """FieldSet's Faraday check on N fields (N, 3) at the points omega (N,),
+    k (N, 3); the first inconsistent one raises."""
+    resid = np.abs(omega[:, None] * b - _cross(k, e)).max(axis=1)
+    scale = abs(omega) * np.abs(b).max(axis=1) + np.abs(k).max(axis=1) * np.abs(e).max(axis=1)
+    off = resid > FARADAY_TOL * scale
+    if off.any():
+        i = _first(off)
+        raise InvariantViolation(
+            f"omega B != k x E (residual {resid[i]:.3e} against scale {scale[i]:.3e}); "
+            "derive B from the potential or from E"
+        )
+
+
+# The functions below are the N = 1 calls of array kernels over N points: omega (N,), k (N, 3), fields
+# and potentials (N, 3) or (N,), conductivities (N, 3, 3), and one boost or a stack of N (BoostParams).
+# Each kernel makes the checks its function makes between its arithmetic, the first failing point raising;
+# the checks on its inputs and on the value it returns stay with the function.  Stacks round as N = 1 would.
 def fields_from_potential(pot: PotentialSet) -> FieldSet:
     """E = -i k phi + i omega A and B = i k x A."""
-    w = pot.at.omega
-    k = pot.at.kvec
-    e = -1j * k * pot.phi + 1j * w * pot.avec
-    b = 1j * np.cross(k, pot.avec)
-    return FieldSet(E=e, B=b, at=pot.at)
+    e, b = _from_potential(np.array([pot.phi]), pot.avec[None], np.array([pot.at.omega]), pot.at.kvec[None])
+    return FieldSet(E=e[0], B=b[0], at=pot.at)
+
+
+def _from_potential(phi, avec, omega, k) -> tuple:
+    return -1j * k * phi[:, None] + 1j * omega[:, None] * avec, 1j * _cross(k, avec)
 
 
 def fields_from_electric(evec, at: Wavevector4) -> FieldSet:
     """Complete an electric amplitude with the Faraday-consistent B = k x E / omega."""
     require_dynamic(at.omega)
     e = _checked(evec, (3,), complex, "E")
-    return FieldSet(E=e, B=np.cross(at.kvec, e) / at.omega, at=at)
+    return FieldSet(E=e, B=_from_electric(e[None], np.array([at.omega]), at.kvec[None])[0], at=at)
+
+
+def _from_electric(e, omega, k) -> np.ndarray:
+    return _cross(k, e) / omega[:, None]
 
 
 def ohm_current(sigma: np.ndarray, evec) -> np.ndarray:
     """j = sigma E; the rest-frame form of Ohm's law."""
-    return np.asarray(sigma, dtype=complex) @ _checked(evec, (3,), complex, "E")
+    return _ohm_current(np.asarray(sigma, dtype=complex)[None], _checked(evec, (3,), complex, "E")[None])[0]
+
+
+def _ohm_current(sigma, e) -> np.ndarray:
+    return (sigma @ e[:, :, None])[:, :, 0]
 
 
 def induced_charge(sigma: np.ndarray, evec, kw: Wavevector4) -> complex:
     """Charge density that continuity forces on j = sigma E: rho = k.j/omega."""
     require_dynamic(kw.omega)
-    return complex(kw.kvec @ ohm_current(sigma, evec)) / kw.omega
+    sigma, e = np.asarray(sigma, dtype=complex)[None], _checked(evec, (3,), complex, "E")[None]
+    return complex(_induced_charge(sigma, e, np.array([kw.omega]), kw.kvec[None])[0])
+
+
+def _induced_charge(sigma, e, omega, k) -> np.ndarray:
+    return _real_quotient(_dots(k, _ohm_current(sigma, e)), omega)
 
 
 @dataclass(frozen=True)
@@ -112,6 +136,10 @@ class OhmResult:
         object.__setattr__(self, "rho", complex(self.rho))
 
 
+def _boost(v, units: UnitsConfig) -> BoostParams:
+    return v if isinstance(v, BoostParams) else BoostParams(v, units)
+
+
 def generalized_ohm(
     sigma_primed_at: np.ndarray,
     v: np.ndarray,
@@ -123,21 +151,27 @@ def generalized_ohm(
     sigma_primed_at is the rest-frame conductivity already evaluated at
     the boosted point (k', omega').  The formula determines only the
     drift combination j - v rho; the split into j and rho follows from
-    continuity, rho = k.j/omega, through a rank-one solve.
+    continuity, rho = k.j/omega, through a rank-one solve.  v is the
+    velocity, or the BoostParams already built from it.
     """
-    bp = BoostParams(v, units)
+    bp = _boost(v, units)
     w = fields.at.omega
     require_dynamic(w)
-    k = fields.at.kvec
     sig = _checked(sigma_primed_at, (3, 3), complex, "conductivity")
+    drift, jvec, rho = _generalized(sig[None], bp, fields.E[None], fields.B[None], np.array([w]), fields.at.kvec[None])
+    return OhmResult(drift_current=drift[0], jvec=jvec[0], rho=rho[0])
+
+
+def _generalized(sigma, bp: BoostParams, e, b, omega, k) -> tuple:
     lhat_inv = bp.lambda_hat_inv
-    emf = fields.E + np.cross(bp.v, fields.B)
-    drift = bp.gamma * (lhat_inv @ sig @ lhat_inv @ emf)
-    # arguments swapped on purpose: this inverts (1 - v k^T/omega), which
-    # is the matrix relating j to the drift combination
-    jvec = projector_inverse(bp.v, k, w) @ drift
-    rho = complex(k @ jvec) / w
-    return OhmResult(drift_current=drift, jvec=jvec, rho=rho)
+    emf = e + _cross(bp.v, b)
+    drift = np.asarray(bp.gamma)[..., None] * (lhat_inv @ sigma @ lhat_inv @ emf[:, :, None])[:, :, 0]
+    # projector_inverse(v, k, omega), arguments swapped on purpose: this inverts (1 - v k^T/omega),
+    # which is the matrix relating j to the drift combination
+    v_dot_k = _dots(k, bp.v)
+    _require_off_resonance(omega, v_dot_k)
+    jvec = ((np.eye(3) + _outer(bp.v, k) / (omega - v_dot_k)[:, None, None]) @ drift[:, :, None])[:, :, 0]
+    return drift, jvec, _real_quotient(_dots(k, jvec), omega)
 
 
 def textbook_ohm(
@@ -147,14 +181,18 @@ def textbook_ohm(
     units: UnitsConfig = NATURAL,
 ) -> np.ndarray:
     """Scalar-conductivity drift current
-    j - rho v = gamma sigma (E - (v/c)((v/c).E) + v x B)."""
-    bp = BoostParams(v, units)
-    beta = bp.v / units.c
-    emf = fields.E + np.cross(bp.v, fields.B)
-    return bp.gamma * complex(sigma_scalar) * (emf - beta * (beta @ fields.E))
+    j - rho v = gamma sigma (E - (v/c)((v/c).E) + v x B); v is the
+    velocity, or the BoostParams already built from it."""
+    return _textbook(np.array([complex(sigma_scalar)]), _boost(v, units), fields.E[None], fields.B[None])[0]
+
+
+def _textbook(s0, bp: BoostParams, e, b) -> np.ndarray:
+    beta = bp.v / bp.units.c
+    emf = e + _cross(bp.v, b)
+    return (bp.gamma * s0)[:, None] * (emf - beta * _dots(beta, e)[:, None])
 
 
 def textbook_ohm_nr(sigma_scalar: complex, v: np.ndarray, fields: FieldSet) -> np.ndarray:
     """Nonrelativistic limit j - v rho = sigma (E + v x B)."""
     vv = _checked(v, (3,), float, "velocity")
-    return complex(sigma_scalar) * (fields.E + np.cross(vv, fields.B))
+    return complex(sigma_scalar) * (fields.E + _cross(vv, fields.B))

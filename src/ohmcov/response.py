@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameMismatch, StaticFrequency
-from .minkowski import NATURAL, UnitsConfig, Wavevector4, _checked
+from .minkowski import NATURAL, UnitsConfig, Wavevector4, _checked, _first
 
 __all__ = [
     "STATIC_OMEGA_FLOOR",
@@ -48,6 +48,23 @@ def require_dynamic(omega: float) -> None:
     """Reject frequencies too close to zero for 1/omega to mean anything."""
     if abs(omega) < STATIC_OMEGA_FLOOR:
         raise StaticFrequency(f"|omega| = {abs(omega)!r} is below the static floor {STATIC_OMEGA_FLOOR:.1e}")
+
+
+def _require_dynamic(omega: np.ndarray) -> None:
+    """require_dynamic for N frequencies; the first too close to zero raises."""
+    static = abs(omega) < STATIC_OMEGA_FLOOR
+    if static.any():
+        require_dynamic(float(omega[_first(static)]))
+
+
+def _real_quotient(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """z / x for complex z and nonzero real x, rounded as Python's complex
+    division rounds it; numpy's multiplies by 1/x instead."""
+    ratio = 0.0 / x
+    out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(x)), dtype=complex)
+    out.real = (z.real + z.imag * ratio) / x
+    out.imag = (z.imag - z.real * ratio) / x
+    return out
 
 
 def chi_from_sigma(sigma: np.ndarray, omega: float) -> np.ndarray:
@@ -134,7 +151,12 @@ class PotentialSet:
 
     def four(self, units: UnitsConfig = NATURAL) -> np.ndarray:
         """Contravariant components (phi/c, A)."""
-        return np.concatenate(([self.phi / units.c], self.avec))
+        return _potential_fours(np.array([self.phi]), self.avec[None], units)[0]
+
+
+def _potential_fours(phi: np.ndarray, avec: np.ndarray, units: UnitsConfig) -> np.ndarray:
+    """PotentialSet.four for N potentials: phi (N,), avec (N, 3) in, (N, 4) out."""
+    return np.concatenate((_real_quotient(phi, units.c)[:, None], avec), axis=1)
 
 
 @dataclass(frozen=True)
@@ -160,13 +182,26 @@ def apply_response(full: FullResponse4, pot: PotentialSet, units: UnitsConfig = 
     """
     if pot.at != full.at:
         raise FrameMismatch(f"potential at {pot.at!r} but kernel at {full.at!r}")
-    j4 = full.entries @ pot.four(units)
-    return FourCurrent(rho=j4[0] / units.c, jvec=j4[1:], at=full.at)
+    rho, jvec = _apply(full.entries[None], np.array([pot.phi]), pot.avec[None], units)
+    return FourCurrent(rho=rho[0], jvec=jvec[0], at=full.at)
+
+
+def _apply(full: np.ndarray, phi: np.ndarray, avec: np.ndarray, units: UnitsConfig) -> tuple:
+    """apply_response for N kernels (N, 4, 4) and the potentials at their
+    points, phi (N,) and avec (N, 3): rho (N,) and j (N, 3)."""
+    j4 = (full @ _potential_fours(phi, avec, units)[:, :, None])[:, :, 0]
+    return j4[:, 0] / units.c, j4[:, 1:]
 
 
 def gauge_shift(pot: PotentialSet, f: complex) -> PotentialSet:
     """Shift the potential by the gradient of f exp(+i k.x - i omega t):
     phi -> phi + i omega f, A -> A + i k f."""
-    w = pot.at.omega
-    k = pot.at.kvec
-    return PotentialSet(phi=pot.phi + 1j * w * f, avec=pot.avec + 1j * k * f, at=pot.at)
+    phi, avec = _gauge_shift(np.array([pot.phi]), pot.avec[None], np.array([pot.at.omega]), pot.at.kvec[None], f)
+    return PotentialSet(phi=phi[0], avec=avec[0], at=pot.at)
+
+
+def _gauge_shift(phi, avec, omega, k, f) -> tuple:
+    """gauge_shift for N potentials at the points omega (N,), k (N, 3), by one
+    complex f or one per point: phi (N,) and avec (N, 3)."""
+    f = np.asarray(f, dtype=complex)
+    return phi + 1j * omega * f, avec + 1j * k * f[..., None]

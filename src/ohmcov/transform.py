@@ -33,6 +33,10 @@ from .minkowski import (
     Wavevector4,
     _checked,
     _checked_rotation,
+    _dots,
+    _first,
+    _mat,
+    _outer,
     _transform_points,
     inverse,
 )
@@ -58,8 +62,12 @@ def resonance_width(omega, v_dot_k):
     return RESONANCE_RTOL * np.maximum(abs(omega), abs(v_dot_k))
 
 
-def _require_off_resonance(omega: float, v_dot_k: float) -> None:
-    if abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k):
+def _require_off_resonance(omega, v_dot_k) -> None:
+    """Reject a point inside the resonance band; for arrays of points, the first one inside."""
+    inside = abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k)
+    if np.any(inside):
+        i = _first(inside)
+        omega, v_dot_k = float(np.ravel(omega)[i]), float(np.ravel(v_dot_k)[i])
         raise BoostResonance(
             f"omega - v.k = {omega - v_dot_k!r} lies inside the resonance band at omega = {omega!r}"
         )
@@ -98,14 +106,26 @@ def projector_inverse(kvec: np.ndarray, v: np.ndarray, omega: float) -> np.ndarr
 
 def boost_sigma_direct(s: FrameSample, v: np.ndarray, units: UnitsConfig = NATURAL) -> FrameSample:
     """Boost a conductivity sample to the frame moving with velocity v."""
-    return _one(_direct, s, BoostParams(v, units))
+    return _one(_direct, s.sigma, s.at, BoostParams(v, units))
 
 
-def _one(kernel, s: FrameSample, *args) -> FrameSample:
-    sigma_p, omega_p, k_p, bad, replay = kernel(s.sigma[None], np.array([s.at.omega]), s.at.kvec[None], *args)
+def _one(kernel, sigma: np.ndarray, at: Wavevector4, *args) -> FrameSample:
+    """The kernel's N = 1 call on sigma sampled at the point at."""
+    sigma_p, omega_p, k_p, bad, replay = kernel(sigma[None], np.array([at.omega]), at.kvec[None], *args)
     if bad[0]:
         replay(0)
     return FrameSample(sigma_p[0], Wavevector4(omega_p[0], k_p[0]))
+
+
+def _usable(sigma, omega, k, bad=False, replay=lambda i: None) -> tuple:
+    """sigma, omega, k of a batch when no sample is bad and FrameSample accepts
+    each; otherwise the first sample that fails raises what _one raises."""
+    bad = bad | _unusable(sigma, omega, k)
+    if bad.any():
+        i = _first(bad)
+        replay(i)
+        FrameSample(sigma[i], Wavevector4(omega[i], k[i]))
+    return sigma, omega, k
 
 
 def _unusable(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -114,19 +134,21 @@ def _unusable(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray) -> np.ndarray
     return ~finite | (abs(omega) < STATIC_OMEGA_FLOOR)
 
 
-# Kernels of boost_sigma_direct and transform_sigma_oracle: sigma (N, 3, 3), omega (N,), k (N, 3) in;
-# sigma', omega', k' out, with bad, the samples that fail a check made before the FrameSample result
-# (_unusable has its own), and replay(i), those checks on sample i alone.  Stacks round as N = 1 would.
+# Kernels of boost_sigma_direct, boost_sigma_inverse and transform_sigma_oracle: sigma (N, 3, 3), omega (N,),
+# k (N, 3) in; sigma', omega', k' out, with bad, the samples that fail a check made before the FrameSample
+# result (_unusable has its own), and replay(i), those checks on sample i alone.  The boost is one boost for
+# every point or a stack of N, one per point (BoostParams of (N, 3) velocities, a stack of N matrices).
+# Stacks round as N = 1 would.
 def _direct(sigma, omega, k, bp: BoostParams) -> tuple:
-    v_dot_k = (k[:, None, :] @ bp.v[:, None])[:, 0, 0]
+    v_dot_k = _dots(k, bp.v)
     with np.errstate(all="ignore"):  # resonant points divide by zero; bad flags them
-        left = np.eye(3) - bp.v[:, None] * k[:, None, :] / omega[:, None, None]
-        right = np.eye(3) - k[:, :, None] * bp.v / omega[:, None, None]
+        left = np.eye(3) - _outer(bp.v, k) / omega[:, None, None]
+        right = np.eye(3) - _outer(k, bp.v) / omega[:, None, None]
         prefactor = 1.0 / (bp.gamma * (1.0 - v_dot_k / omega))
         sigma_p = prefactor[:, None, None] * (bp.lambda_hat @ left @ sigma @ right @ bp.lambda_hat)
         omega_p, k_p = _transform_points(bp.matrix(), omega, k, bp.units)
     bad = abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k)
-    return sigma_p, omega_p, k_p, bad, lambda i: _require_off_resonance(float(omega[i]), float(v_dot_k[i]))
+    return sigma_p, omega_p, k_p, bad, lambda i: _require_off_resonance(omega[i], v_dot_k[i])
 
 
 def boost_sigma_inverse(
@@ -144,18 +166,26 @@ def boost_sigma_inverse(
                           sigma'(k', omega') Lhat^(-1)
                           [(1 - v.k/omega) 1 + k v^T/omega].
     """
-    bp = BoostParams(v, units)
-    omega = kw_unprimed.omega
-    require_dynamic(omega)
-    k = kw_unprimed.kvec
-    v_dot_k = float(bp.v @ k)
-    _require_off_resonance(omega, v_dot_k)
-    # roles swapped on purpose: this inverts (1 - v k^T/omega)
-    left_inv = projector_inverse(bp.v, k, omega)
-    lhat_inv = bp.lambda_hat_inv
-    tail = (1.0 - v_dot_k / omega) * np.eye(3) + np.outer(k, bp.v) / omega
-    sigma = bp.gamma * (left_inv @ lhat_inv @ s_primed.sigma @ lhat_inv @ tail)
-    return FrameSample(sigma, kw_unprimed)
+    return _one(_inverse, s_primed.sigma, kw_unprimed, BoostParams(v, units))
+
+
+def _inverse(sigma_p, omega, k, bp: BoostParams) -> tuple:
+    """sigma' at the boosted points and the unprimed points omega, k in;
+    sigma at omega, k out."""
+    v_dot_k = _dots(k, bp.v)
+    with np.errstate(all="ignore"):  # static and resonant points divide by zero; bad flags them
+        # projector_inverse(v, k, omega), roles swapped on purpose: this inverts (1 - v k^T/omega)
+        left_inv = np.eye(3) + _outer(bp.v, k) / (omega - v_dot_k)[:, None, None]
+        lhat_inv = bp.lambda_hat_inv
+        tail = (1.0 - v_dot_k / omega)[:, None, None] * np.eye(3) + _outer(k, bp.v) / omega[:, None, None]
+        sigma = _mat(bp.gamma) * (left_inv @ lhat_inv @ sigma_p @ lhat_inv @ tail)
+    bad = (abs(omega) < STATIC_OMEGA_FLOOR) | (abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k))
+
+    def replay(i: int) -> None:
+        require_dynamic(float(omega[i]))
+        _require_off_resonance(omega[i], v_dot_k[i])
+
+    return sigma, omega, k, bad, replay
 
 
 def rotate_sigma(s: FrameSample, rot: np.ndarray) -> FrameSample:
@@ -174,7 +204,7 @@ def transform_sigma_oracle(s: FrameSample, lam: LorentzMatrix, units: UnitsConfi
     and time reversal, at the cost of more arithmetic than the closed
     form for pure boosts.
     """
-    return _one(_oracle, s, lam, units)
+    return _one(_oracle, s.sigma, s.at, lam, units)
 
 
 def _oracle(sigma, omega, k, lam: LorentzMatrix, units: UnitsConfig) -> tuple:

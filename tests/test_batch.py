@@ -22,21 +22,37 @@ from ohmcov import (
     ConstantScalar,
     DiagonalAnisotropic,
     Drude,
+    FieldSet,
     FrameSample,
+    InvariantViolation,
+    LorentzMatrix,
+    OhmcovError,
     OutOfRange,
+    PotentialSet,
+    SpeedLimit,
     StaticFrequency,
     Tabulated,
     UnitsConfig,
     Wavevector4,
+    apply_response,
     boost_matrix,
     boost_sigma_direct,
+    boost_sigma_inverse,
     compose,
+    fields_from_electric,
+    fields_from_potential,
+    gauge_shift,
+    generalized_ohm,
+    induced_charge,
     inverse,
+    ohm_current,
+    reconstruct_full,
+    textbook_ohm,
     transform_sigma_oracle,
 )
-from ohmcov import cli, materials
-from ohmcov.response import _reconstruct
-from ohmcov.transform import _direct, _oracle, _unusable
+from ohmcov import cli, materials, ohm
+from ohmcov.response import _apply, _gauge_shift, _potential_fours, _reconstruct
+from ohmcov.transform import _direct, _inverse, _oracle, _unusable
 
 from conftest import rand_unit
 
@@ -51,11 +67,12 @@ def assert_same_bits(a, b):
 
 def points_near_resonance(rng, v, c, n=N):
     """Random (omega, k) with a quarter of the points a few resonance band
-    widths from omega = v.k, on both sides, and a few exactly on it."""
+    widths from omega = v.k, on both sides, and a few exactly on it; v is
+    one velocity or one per point."""
     omega = rng.uniform(-5.0, 5.0, n) * c
     k = rng.uniform(-3.0, 3.0, (n, 3))
     near = rng.choice(n, n // 4, replace=False)
-    v_dot_k = np.array([float(v @ kk) for kk in k[near]])
+    v_dot_k = np.array([float(vv @ kk) for vv, kk in zip(np.broadcast_to(v, (n, 3))[near], k[near])])
     offset = rng.choice([-1.0, 1.0], len(near)) * 10.0 ** rng.uniform(-11.0, -6.0, len(near))
     omega[near] = v_dot_k * (1.0 + offset)
     omega[near[:3]] = v_dot_k[:3]
@@ -87,13 +104,19 @@ def check_against_single_points(result, singles):
 
 
 def single_calls(fn, sigma, omega, k):
+    """fn(s, i) for the FrameSample s of each point i, or the error it raises."""
     out = []
     for i in range(len(omega)):
         try:
-            out.append(fn(FrameSample(sigma[i], Wavevector4(omega[i], k[i]))))
+            out.append(fn(FrameSample(sigma[i], Wavevector4(omega[i], k[i])), i))
         except (BoostResonance, StaticFrequency) as exc:
             out.append(exc)
     return out
+
+
+def velocities(rng, c, n=N):
+    """One velocity per point, speeds up to 0.95 c."""
+    return 0.95 * c * rng.uniform(0.0, 1.0, (n, 1)) * np.array([rand_unit(rng) for _ in range(n)])
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])
@@ -104,7 +127,7 @@ def test_direct_kernel_is_n_single_calls(rng, c):
     sigma = random_sigma(rng)
     bp = BoostParams(v, units)
     result = _direct(sigma, omega, k, bp)
-    check_against_single_points(result, single_calls(lambda s: boost_sigma_direct(s, v, units), sigma, omega, k))
+    check_against_single_points(result, single_calls(lambda s, i: boost_sigma_direct(s, v, units), sigma, omega, k))
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])
@@ -119,7 +142,175 @@ def test_oracle_kernel_is_n_single_calls(rng, c, parity):
     omega, k = points_near_resonance(rng, -v if parity else v, c)
     sigma = random_sigma(rng)
     result = _oracle(sigma, omega, k, lam, units)
-    check_against_single_points(result, single_calls(lambda s: transform_sigma_oracle(s, lam, units), sigma, omega, k))
+    singles = single_calls(lambda s, i: transform_sigma_oracle(s, lam, units), sigma, omega, k)
+    check_against_single_points(result, singles)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+@pytest.mark.parametrize("per_point", [False, True])
+@pytest.mark.parametrize("name", ["direct", "inverse", "oracle", "oracle with parity"])
+def test_boost_kernels_take_one_boost_per_point(rng, c, per_point, name):
+    """With one velocity per point, as verify runs them, and with one for
+    all, as the sweep does, each kernel is N single-point calls."""
+    units = UnitsConfig(c)
+    v = velocities(rng, c) if per_point else 0.8 * c * rand_unit(rng)
+    vs = np.broadcast_to(v, (N, 3))
+    parity = name == "oracle with parity"
+    omega, k = points_near_resonance(rng, -v if parity else v, c)
+    sigma = random_sigma(rng)
+    bp = BoostParams(v, units)
+    if name == "direct":
+        result = _direct(sigma, omega, k, bp)
+        singles = single_calls(lambda s, i: boost_sigma_direct(s, vs[i], units), sigma, omega, k)
+    elif name == "inverse":
+        omega[[5, 40]] = 0.0  # the inverse checks its unprimed points; the others leave that to FrameSample
+        result = _inverse(sigma, omega, k, bp)
+        at = Wavevector4(1.0, [0.0, 0.0, 0.0])  # the inverse reads only the tensor of its primed sample
+        singles = []
+        for i in range(N):
+            try:
+                kw = Wavevector4(omega[i], k[i])
+                singles.append(boost_sigma_inverse(FrameSample(sigma[i], at), vs[i], kw, units))
+            except (BoostResonance, StaticFrequency) as exc:
+                singles.append(exc)
+    else:
+        lam = compose(bp.matrix(), PARITY_FLIP) if parity else bp.matrix()
+        assert lam.entries.shape == ((N, 4, 4) if per_point else (4, 4))  # no per-point matrix for one boost
+        result = _oracle(sigma, omega, k, lam, units)
+
+        def single(s, i):
+            lam_i = boost_matrix(vs[i], units)
+            return transform_sigma_oracle(s, compose(lam_i, PARITY_FLIP) if parity else lam_i, units)
+
+        singles = single_calls(single, sigma, omega, k)
+    check_against_single_points(result, singles)
+
+
+def test_boost_stack_is_n_boosts(rng):
+    """A stack of velocities gives each row the bits of its own boost, and
+    the first row past the speed limit, or the first matrix outside O(1,3),
+    raises the single boost's error."""
+    units = UnitsConfig(3.0)
+    v = velocities(rng, 3.0)
+    v[7] = 3.0 * (1.0 - 1e-11) * rand_unit(rng)
+    v[8] = 0.0
+    bp = BoostParams(v, units)
+    for i in range(N):
+        one = BoostParams(v[i], units)
+        assert_same_bits(bp.gamma[i], np.float64(one.gamma))
+        assert_same_bits(bp.lambda_hat[i], one.lambda_hat)
+        assert_same_bits(bp.lambda_hat_inv[i], one.lambda_hat_inv)
+        assert_same_bits(bp.matrix().entries[i], one.matrix().entries)
+    assert bp.matrix() is bp.matrix()  # built and checked once
+
+    v[[20, 60]] *= 4.5 / np.linalg.norm(v[[20, 60]], axis=1)[:, None]  # 1.5 c
+    with pytest.raises(SpeedLimit) as single:
+        BoostParams(v[20], units)
+    with pytest.raises(SpeedLimit) as stacked:
+        BoostParams(v, units)
+    assert str(stacked.value) == str(single.value)
+
+    m = bp.matrix().entries.copy()
+    m[[30, 70], 1, 2] += 1e-6
+    with pytest.raises(InvariantViolation) as single:
+        LorentzMatrix(m[30])
+    with pytest.raises(InvariantViolation) as stacked:
+        LorentzMatrix(m)
+    assert str(stacked.value) == str(single.value)
+
+
+def kernel_is_single_calls(kernel, single, n=N):
+    """kernel(idx) runs an array kernel on the points idx and returns a tuple
+    of per-point arrays; single(i) runs the single-point function on point
+    i and returns the same values, or raises.  The kernel must give the
+    bits of the single calls where they pass, and raise the first error."""
+    singles = []
+    for i in range(n):
+        try:
+            singles.append(single(i))
+        except OhmcovError as exc:
+            singles.append(exc)
+    ok = np.array([not isinstance(s, Exception) for s in singles])
+    got = kernel(np.flatnonzero(ok))
+    for j, i in enumerate(np.flatnonzero(ok)):
+        for a, b in zip(got, singles[i]):
+            assert_same_bits(a[j], np.asarray(b))
+    if not ok.all():
+        first = singles[int(np.argmin(ok))]
+        with pytest.raises(type(first)) as info:
+            kernel(np.arange(n))
+        assert str(info.value) == str(first)
+    return ok
+
+
+@pytest.mark.parametrize("c", [1.0, 299_792_458.0])
+def test_response_kernels_are_n_single_calls(rng, c):
+    units = UnitsConfig(c)
+    omega = rng.uniform(0.1, 10.0, N) * rng.choice([-1.0, 1.0], N) * c
+    k = rng.uniform(-5.0, 5.0, (N, 3))
+    chi = random_sigma(rng)
+    phi, avec, f = rng.normal(size=N) + 1j * rng.normal(size=N), random_sigma(rng)[:, 0], random_sigma(rng)[:, 0, 0]
+    full = _reconstruct(chi, omega, k, units)
+
+    def single(i):
+        kw = Wavevector4(omega[i], k[i])
+        pot = PotentialSet(phi[i], avec[i], kw)
+        cur = apply_response(reconstruct_full(chi[i], kw, units), pot, units)
+        shifted = gauge_shift(pot, f[i])
+        return cur.rho, cur.jvec, shifted.phi, shifted.avec, pot.four(units)
+
+    def kernel(idx):
+        shifted = _gauge_shift(phi[idx], avec[idx], omega[idx], k[idx], f[idx])
+        return (*_apply(full[idx], phi[idx], avec[idx], units), *shifted, _potential_fours(phi[idx], avec[idx], units))
+
+    assert kernel_is_single_calls(kernel, single).all()
+
+
+@pytest.mark.parametrize("c", [1.0, 299_792_458.0])
+@pytest.mark.parametrize("per_point", [False, True])
+def test_ohm_kernels_are_n_single_calls(rng, c, per_point):
+    """The field, current and moving-medium kernels against N calls, with
+    resonant points: the first raises generalized_ohm's error."""
+    units = UnitsConfig(c)
+    v = velocities(rng, c) if per_point else 0.8 * c * rand_unit(rng)
+    vs = np.broadcast_to(v, (N, 3))
+    omega, k = points_near_resonance(rng, v, c)
+    sigma, e, phi = random_sigma(rng), random_sigma(rng)[:, 0], rng.normal(size=N) + 1j * rng.normal(size=N)
+    s0 = sigma[:, 0, 0]
+
+    def single(i):
+        kw = Wavevector4(omega[i], k[i])
+        fields = fields_from_electric(e[i], kw)
+        potential = fields_from_potential(PotentialSet(phi[i], e[i], kw))
+        gen = generalized_ohm(sigma[i], vs[i], fields, units)
+        return (fields.B, potential.E, potential.B, ohm_current(sigma[i], e[i]), induced_charge(sigma[i], e[i], kw),
+                textbook_ohm(s0[i], vs[i], fields, units), gen.drift_current, gen.jvec, gen.rho)
+
+    def kernel(idx):
+        w, kk, ee, ss = omega[idx], k[idx], e[idx], sigma[idx]
+        bpi = BoostParams(v[idx] if per_point else v, units)
+        b = ohm._from_electric(ee, w, kk)
+        return (b, *ohm._from_potential(phi[idx], ee, w, kk), ohm._ohm_current(ss, ee),
+                ohm._induced_charge(ss, ee, w, kk), ohm._textbook(s0[idx], bpi, ee, b),
+                *ohm._generalized(ss, bpi, ee, b, w, kk))
+
+    ok = kernel_is_single_calls(kernel, single)
+    assert 0 < ok.sum() < N
+
+
+def test_faraday_check_is_per_point(rng):
+    """The first field inconsistent with Faraday's law raises FieldSet's error."""
+    omega = rng.uniform(0.5, 5.0, N)
+    k = rng.uniform(-2.0, 2.0, (N, 3))
+    e = random_sigma(rng)[:, 0]
+    b = ohm._from_electric(e, omega, k)
+    ohm._require_faraday(e, b, omega, k)
+    b[[17, 50]] *= 1.0 + 1e-6
+    with pytest.raises(InvariantViolation) as single:
+        FieldSet(e[17], b[17], Wavevector4(omega[17], k[17]))
+    with pytest.raises(InvariantViolation) as stacked:
+        ohm._require_faraday(e, b, omega, k)
+    assert str(stacked.value) == str(single.value)
 
 
 def scalar_kernel(chi, omega, k, c):
@@ -173,6 +364,50 @@ def test_kernels_round_as_the_scalar_code(rng, c):
         for got, want in zip((direct[0][i], oracle[0][i], direct[1][i], direct[2][i]), ref):
             assert_same_bits(got, np.asarray(want))
         assert_same_bits(full[i], scalar_kernel(sigma[i], float(omega[i]), k[i], c))
+
+
+def scalar_ohm_laws(sigma, s0, e, phi, avec, omega, k, v, c):
+    """The single-point arithmetic of BoostParams, the field, current and
+    moving-medium functions, in Python floats and complex numbers where the
+    replaced code had them."""
+    speed = float(np.sqrt(v @ v))
+    gamma = float(1.0 / np.sqrt(1.0 - (speed / c) ** 2))
+    lhat_inv = np.eye(3) + (1.0 / gamma - 1.0) * np.outer(v, v) / float(v @ v) if speed > 0.0 else np.eye(3)
+    b = np.cross(k, e) / omega
+    emf = e + np.cross(v, b)
+    drift = gamma * (lhat_inv @ sigma @ lhat_inv @ emf)
+    jvec = (np.eye(3) + np.outer(v, k) / (omega - float(k @ v))) @ drift
+    beta = v / c
+    textbook = gamma * complex(s0) * (emf - beta * (beta @ e))
+    pot_e = -1j * k * phi + 1j * omega * avec
+    four = np.concatenate(([phi / c], avec))
+    return (gamma, b, drift, jvec, complex(k @ jvec) / omega, textbook, pot_e, 1j * np.cross(k, avec),
+            complex(k @ (sigma @ e)) / omega, four)
+
+
+@pytest.mark.parametrize("c", [1.0, 299_792_458.0])
+def test_ohm_kernels_round_as_the_scalar_code(rng, c):
+    """Bit for bit against the single-point arithmetic, which fixed the
+    recorded ohm outputs; numpy's complex division by a real rounds
+    differently from Python's somewhere in a few thousand points."""
+    units = UnitsConfig(c)
+    n = 3000
+    v = velocities(rng, c, n)
+    v[0] = 0.0
+    omega = rng.uniform(0.05, 10.0, n) * rng.choice([-1.0, 1.0], n) * c
+    k = rng.uniform(-5.0, 5.0, (n, 3))
+    k[1] = [0.0, -0.0, 0.0]
+    sigma, e, avec = random_sigma(rng, n), random_sigma(rng, n)[:, 0], random_sigma(rng, n)[:, 1]
+    s0, phi = sigma[:, 1, 1], sigma[:, 2, 2]
+    bp = BoostParams(v, units)
+    b = ohm._from_electric(e, omega, k)
+    got = (bp.gamma, b, *ohm._generalized(sigma, bp, e, b, omega, k), ohm._textbook(s0, bp, e, b),
+           *ohm._from_potential(phi, avec, omega, k), ohm._induced_charge(sigma, e, omega, k),
+           _potential_fours(phi, avec, units))
+    for i in range(n):
+        ref = scalar_ohm_laws(sigma[i], s0[i], e[i], complex(phi[i]), avec[i], float(omega[i]), k[i], v[i], c)
+        for a, want in zip(got, ref):
+            assert_same_bits(a[i], np.asarray(want))
 
 
 def tabulated(interpolation):

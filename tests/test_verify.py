@@ -6,11 +6,20 @@ holds repr(max_residual) and passed for every suite at 1000 samples and
 seeds 0-4.  Seeds 1 and 4 fail round_trip against its fixed 1e-10
 tolerance on a correct build (ROADMAP item 1); the record keeps those
 failures visible instead of hiding them.
+
+The suites evaluate their samples in blocks; the block size must not
+change a bit, a NaN residual anywhere must fail its suite, and a sample
+that fails a check must raise the error the single-point functions raise
+for the first such sample in draw order.
 """
 
+import math
+
+import numpy as np
 import pytest
 
-from ohmcov.verify import run_all
+from ohmcov import SpeedLimit, BoostParams, verify
+from ohmcov.verify import run_all, round_trip_suite
 
 RECORD = {
     0: [
@@ -61,3 +70,67 @@ def test_report_bits_are_recorded(seed):
     results = run_all(seed, 1000)
     assert [(r.name, repr(r.max_residual), r.passed) for r in results] == RECORD[seed]
     assert all(r.samples == 1000 for r in results)
+
+
+def report(results):
+    return [(r.name, r.samples, repr(r.max_residual), r.passed) for r in results]
+
+
+@pytest.mark.parametrize("c", [1.0, 299_792_458.0])
+def test_block_size_does_not_change_the_bits(monkeypatch, c):
+    units = verify.UnitsConfig(c)
+    whole = report(run_all(4, 50, units))
+    monkeypatch.setattr(verify, "BLOCK", 7)
+    assert report(run_all(4, 50, units)) == whole
+
+
+def nan_at(monkeypatch, index):
+    """Make the index-th residual that _rel_errors computes, counted over its calls, NaN."""
+    seen = 0
+    real = verify._rel_errors
+
+    def rel_errors(a, b, floor=verify.ABS_FLOOR):
+        nonlocal seen
+        r = real(a, b, floor).copy()
+        if 0 <= index - seen < len(r):
+            r[index - seen] = np.nan
+        seen += len(r)
+        return r
+
+    monkeypatch.setattr(verify, "_rel_errors", rel_errors)
+
+
+@pytest.mark.parametrize("suite", ["oracle_equivalence", "round_trip", "ohm_covariance", "textbook_specialization"])
+def test_nan_residual_fails_its_suite(monkeypatch, suite):
+    monkeypatch.setattr(verify, "BLOCK", 16)
+    nan_at(monkeypatch, 25)  # in the second block, neither first nor last
+    result = getattr(verify, f"{suite}_suite")(np.random.default_rng(0), 50)
+    assert math.isnan(result.max_residual) and not result.passed
+
+
+def test_first_bad_sample_in_draw_order_raises(monkeypatch):
+    """In one block, sample 3 is superluminal and sample 9 has a NaN
+    conductivity.  The block checks conductivities before velocities, as a
+    single sample does, but sample 3 comes first in draw order and raises
+    the SpeedLimit a single-point boost of its velocity raises."""
+    monkeypatch.setattr(verify, "BLOCK", 16)
+    velocities, sigmas = [], []
+    setup, sigma = verify.sample_boost_setup, verify.sample_sigma
+
+    def bad_setup(rng, units=verify.NATURAL):
+        kw, v = setup(rng, units)
+        velocities.append(1.5 * v / np.linalg.norm(v) if len(velocities) == 3 else v)
+        return kw, velocities[-1]
+
+    def bad_sigma(rng):
+        sigmas.append(np.full((3, 3), np.nan) if len(sigmas) == 9 else sigma(rng))
+        return sigmas[-1]
+
+    monkeypatch.setattr(verify, "sample_boost_setup", bad_setup)
+    monkeypatch.setattr(verify, "sample_sigma", bad_sigma)
+    with pytest.raises(SpeedLimit) as info:
+        round_trip_suite(np.random.default_rng(3), 40)
+    assert len(velocities) == 16 and np.isnan(sigmas[9]).all()  # the whole block was drawn
+    with pytest.raises(SpeedLimit) as single:
+        BoostParams(velocities[3])
+    assert str(info.value) == str(single.value)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _checked, _cross, _dots, _first, _outer
+from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _checked, _cross, _dots, _first
 from .response import PotentialSet, _real_quotient, require_dynamic
-from .transform import _require_off_resonance
+from .transform import _projector_inverse, _require_off_resonance
 
 __all__ = [
     "FieldSet",
@@ -170,7 +170,7 @@ def _generalized(sigma, bp: BoostParams, e, b, omega, k) -> tuple:
     # which is the matrix relating j to the drift combination
     v_dot_k = _dots(k, bp.v)
     _require_off_resonance(omega, v_dot_k)
-    jvec = ((np.eye(3) + _outer(bp.v, k) / (omega - v_dot_k)[:, None, None]) @ drift[:, :, None])[:, :, 0]
+    jvec = (_projector_inverse(bp.v, k, omega - v_dot_k) @ drift[:, :, None])[:, :, 0]
     return drift, jvec, _real_quotient(_dots(k, jvec), omega)
 
 
@@ -183,7 +183,8 @@ def textbook_ohm(
     """Scalar-conductivity drift current
     j - rho v = gamma sigma (E - (v/c)((v/c).E) + v x B); v is the
     velocity, or the BoostParams already built from it."""
-    return _textbook(np.array([complex(sigma_scalar)]), _boost(v, units), fields.E[None], fields.B[None])[0]
+    bp = _boost(v, units)
+    return _textbook(np.array([complex(sigma_scalar)]), bp, fields.E[None], fields.B[None])[0]
 
 
 def _textbook(s0, bp: BoostParams, e, b) -> np.ndarray:

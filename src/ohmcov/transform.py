@@ -101,7 +101,13 @@ def projector_inverse(kvec: np.ndarray, v: np.ndarray, omega: float) -> np.ndarr
     vv = np.asarray(v, dtype=float)
     v_dot_k = float(vv @ k)
     _require_off_resonance(omega, v_dot_k)
-    return np.eye(3) + np.outer(k, vv) / (omega - v_dot_k)
+    return _projector_inverse(k, vv, omega - v_dot_k)
+
+
+def _projector_inverse(kvec: np.ndarray, v: np.ndarray, gap) -> np.ndarray:
+    """projector_inverse for N points, without its check: kvec and v (N, 3)
+    or (3,), gap = omega - v.k (N,) or a float."""
+    return np.eye(3) + _outer(kvec, v) / _mat(gap)
 
 
 def boost_sigma_direct(s: FrameSample, v: np.ndarray, units: UnitsConfig = NATURAL) -> FrameSample:
@@ -174,8 +180,8 @@ def _inverse(sigma_p, omega, k, bp: BoostParams) -> tuple:
     sigma at omega, k out."""
     v_dot_k = _dots(k, bp.v)
     with np.errstate(all="ignore"):  # static and resonant points divide by zero; bad flags them
-        # projector_inverse(v, k, omega), roles swapped on purpose: this inverts (1 - v k^T/omega)
-        left_inv = np.eye(3) + _outer(bp.v, k) / (omega - v_dot_k)[:, None, None]
+        # roles swapped on purpose: this inverts (1 - v k^T/omega)
+        left_inv = _projector_inverse(bp.v, k, omega - v_dot_k)
         lhat_inv = bp.lambda_hat_inv
         tail = (1.0 - v_dot_k / omega)[:, None, None] * np.eye(3) + _outer(k, bp.v) / omega[:, None, None]
         sigma = _mat(bp.gamma) * (left_inv @ lhat_inv @ sigma_p @ lhat_inv @ tail)

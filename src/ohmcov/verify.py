@@ -187,6 +187,12 @@ def _fields(e, b, omega, k) -> tuple:
     return e, b
 
 
+def _electric(e, omega, k) -> tuple:
+    """fields_from_electric(e, Wavevector4(omega, k)): E and B (N, 3)."""
+    _require_dynamic(omega)
+    return _fields(e, _from_electric(_finite(e, "E"), omega, k), omega, k)
+
+
 def _ohm(sigma, bp: BoostParams, e, b, omega, k) -> tuple:
     """generalized_ohm with its checks: drift (N, 3), j (N, 3), rho (N,)."""
     _require_dynamic(omega)
@@ -280,8 +286,7 @@ def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
         _potential(phi, avec)
         worst = _continuity_residual(omega, k, *_current(full, phi, avec, units))
 
-        _require_dynamic(omega2)
-        e, b = _fields(e, _from_electric(_finite(e, "E"), omega2, k2), omega2, k2)
+        e, b = _electric(e, omega2, k2)
         _, j, rho = _ohm(sigma2, BoostParams(v, units), e, b, omega2, k2)
         return np.maximum(worst, _continuity_residual(omega2, k2, rho, j))
 
@@ -333,8 +338,7 @@ def textbook_specialization_suite(rng: np.random.Generator, n: int, units: Units
         return kw.omega, kw.kvec, v, s0, _complex_vec(rng)
 
     def residuals(omega, k, v, s0, e):
-        _require_dynamic(omega)
-        e, b = _fields(e, _from_electric(_finite(e, "E"), omega, k), omega, k)
+        e, b = _electric(e, omega, k)
         bp = BoostParams(v, units)
         drift, _, _ = _ohm(s0[:, None, None] * np.eye(3), bp, e, b, omega, k)
         return _rel_errors(drift, _textbook(s0, bp, e, b))

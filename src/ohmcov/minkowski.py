@@ -221,7 +221,9 @@ class BoostParams:
 @dataclass(frozen=True)
 class LorentzMatrix:
     """Real 4x4 element of O(1,3), or an (N, 4, 4) stack of them;
-    membership is checked at construction."""
+    membership is checked at construction.  compose, inverse and the array
+    kernels take stacks; the properties, decompose and transform_wavevector
+    take one matrix."""
 
     entries: np.ndarray
 

@@ -3,9 +3,9 @@
 run_all draws its samples from one seeded stream, so each suite's worst
 residual is a fixed number per seed and sample count.  The record below
 holds repr(max_residual) and passed for every suite at 1000 samples and
-seeds 0-4.  Seeds 1 and 4 fail round_trip against its fixed 1e-10
-tolerance on a correct build (ROADMAP item 1); the record keeps those
-failures visible instead of hiding them.
+seeds 0-4.  Seeds 1 and 4 fail round_trip on a correct build: its fixed
+1e-10 tolerance is too tight for the worst-conditioned samples.  The record
+keeps those failures visible instead of hiding them.
 
 The suites evaluate their samples in blocks; the block size must not
 change a bit, a NaN residual anywhere must fail its suite, and a sample

@@ -3,9 +3,14 @@
 run_all draws its samples from one seeded stream, so each suite's worst
 residual is a fixed number per seed and sample count.  The record below
 holds repr(max_residual) and passed for every suite at 1000 samples and
-seeds 0-4.  Seeds 1 and 4 fail round_trip on a correct build: its fixed
-1e-10 tolerance is too tight for the worst-conditioned samples.  The record
-keeps those failures visible instead of hiding them.
+seeds 0-4, and for c = 2 and SI at seeds 0-2 (the draws scale v by c).
+Seeds 1 and 4 fail round_trip on a correct build: its fixed 1e-10 tolerance
+is too tight for the worst-conditioned samples.  In SI units round_trip and
+ohm_covariance fail at every recorded seed.  The record keeps those
+failures visible instead of hiding them.
+
+The random stream itself is pinned too: the samplers and every suite's
+draws must give, bit for bit, what the reference samplers below give.
 
 The suites evaluate their samples in blocks; the block size must not
 change a bit, a NaN residual anywhere must fail its suite, and a sample
@@ -64,12 +69,182 @@ RECORD = {
     ],
 }
 
+RECORD_BY_C = {
+    2.0: {
+        0: [
+            ("oracle_equivalence", "2.173126445209675e-14", True),
+            ("round_trip", "2.3094000128086488e-11", True),
+            ("gauge_invariance", "5.794618740277101e-15", True),
+            ("continuity", "8.44458627234809e-16", True),
+            ("ohm_covariance", "9.2792920074275e-13", True),
+            ("textbook_specialization", "6.852540984685887e-16", True),
+        ],
+        1: [
+            ("oracle_equivalence", "2.747397099781813e-15", True),
+            ("round_trip", "6.771072761104579e-10", False),
+            ("gauge_invariance", "2.796058856852795e-15", True),
+            ("continuity", "4.37967373905941e-16", True),
+            ("ohm_covariance", "3.2288365519028144e-13", True),
+            ("textbook_specialization", "6.957885472154888e-16", True),
+        ],
+        2: [
+            ("oracle_equivalence", "4.904728094326219e-14", True),
+            ("round_trip", "6.501928372579442e-11", True),
+            ("gauge_invariance", "5.0911235580302245e-15", True),
+            ("continuity", "5.27406070568634e-16", True),
+            ("ohm_covariance", "5.081014498610843e-12", True),
+            ("textbook_specialization", "6.099231889874772e-16", True),
+        ],
+    },
+    299_792_458.0: {
+        0: [
+            ("oracle_equivalence", "3.890513838057023e-14", True),
+            ("round_trip", "1.5642134530062481", False),
+            ("gauge_invariance", "1.0263858577306745e-14", True),
+            ("continuity", "6.004418182265262e-16", True),
+            ("ohm_covariance", "0.0009590879610460808", False),
+            ("textbook_specialization", "5.262485439974542e-16", True),
+        ],
+        1: [
+            ("oracle_equivalence", "1.1689704902334386e-12", True),
+            ("round_trip", "1.6669312245934373", False),
+            ("gauge_invariance", "3.1970015959342316e-14", True),
+            ("continuity", "4.387604885408505e-16", True),
+            ("ohm_covariance", "0.00022687152769679096", False),
+            ("textbook_specialization", "5.704230206782995e-16", True),
+        ],
+        2: [
+            ("oracle_equivalence", "9.74150619176233e-13", True),
+            ("round_trip", "1.7063781859960807", False),
+            ("gauge_invariance", "9.61360600142491e-15", True),
+            ("continuity", "5.220242351552715e-16", True),
+            ("ohm_covariance", "0.0009369650447360654", False),
+            ("textbook_specialization", "6.536067916756525e-16", True),
+        ],
+    },
+}
+
 
 @pytest.mark.parametrize("seed", sorted(RECORD))
 def test_report_bits_are_recorded(seed):
-    results = run_all(seed, 1000)
-    assert [(r.name, repr(r.max_residual), r.passed) for r in results] == RECORD[seed]
-    assert all(r.samples == 1000 for r in results)
+    for c, record in [(1.0, RECORD), *RECORD_BY_C.items()]:
+        if seed in record:
+            results = run_all(seed, 1000, verify.UnitsConfig(c))
+            assert [(r.name, repr(r.max_residual), r.passed) for r in results] == record[seed], c
+            assert all(r.samples == 1000 for r in results)
+
+
+# The reference samplers: how each draw maps the generator's output.
+def ref_sigma(rng):
+    return rng.uniform(-1.0, 1.0, (3, 3)) + 1j * rng.uniform(-1.0, 1.0, (3, 3))
+
+
+def ref_direction(rng):
+    while True:
+        g = rng.standard_normal(3)
+        n = float(np.linalg.norm(g))
+        if n > 1e-12:
+            return g / n
+
+
+def ref_point(rng):
+    return rng.uniform(0.1, 10.0), rng.uniform(0.0, 5.0) * ref_direction(rng)
+
+
+def ref_velocity(rng, c, vmax=0.9):
+    return c * rng.uniform(0.0, vmax) * ref_direction(rng)
+
+
+def ref_boost_setup(rng, c):
+    while True:
+        omega, k = ref_point(rng)
+        v = ref_velocity(rng, c)
+        v_dot_k = float(v @ k)
+        if abs(omega - v_dot_k) > 1e-4 * max(abs(omega), abs(v_dot_k)):
+            return omega, k, v
+
+
+def ref_complex_vec(rng):
+    return rng.uniform(-1.0, 1.0, 3) + 1j * rng.uniform(-1.0, 1.0, 3)
+
+
+def ref_complex(rng):
+    return complex(*rng.uniform(-1.0, 1.0, 2))
+
+
+# Each suite's values per sample, in the order its residuals take them.
+REFERENCE_DRAWS = {
+    "oracle_equivalence": lambda rng, c: (*ref_boost_setup(rng, c), ref_sigma(rng)),
+    "round_trip": lambda rng, c: (*ref_boost_setup(rng, c), ref_sigma(rng)),
+    "gauge_invariance": lambda rng, c: (
+        *ref_point(rng), ref_sigma(rng), ref_complex(rng), ref_complex_vec(rng), ref_complex(rng)
+    ),
+    "continuity": lambda rng, c: (
+        *ref_point(rng), ref_sigma(rng), ref_complex(rng), ref_complex_vec(rng),
+        *ref_boost_setup(rng, c), ref_complex_vec(rng), ref_sigma(rng),
+    ),
+    "ohm_covariance": lambda rng, c: (*ref_boost_setup(rng, c), ref_sigma(rng), ref_complex(rng), ref_complex_vec(rng)),
+    "textbook_specialization": lambda rng, c: (*ref_boost_setup(rng, c), ref_complex(rng), ref_complex_vec(rng)),
+}
+
+STREAM_DRAWS = 2000
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, 299_792_458.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_public_samplers_follow_the_reference_stream(seed, c):
+    units = verify.UnitsConfig(c)
+    draws = [
+        (lambda rng: verify.sample_sigma(rng), ref_sigma),
+        (lambda rng: (lambda kw: (kw.omega, kw.kvec))(verify.sample_point(rng)), ref_point),
+        (lambda rng: verify.sample_velocity(rng, units), lambda rng: ref_velocity(rng, c)),
+        (lambda rng: verify.sample_velocity(rng, units, 0.5), lambda rng: ref_velocity(rng, c, 0.5)),
+        (
+            lambda rng: (lambda kw, v: (kw.omega, kw.kvec, v))(*verify.sample_boost_setup(rng, units)),
+            lambda rng: ref_boost_setup(rng, c),
+        ),
+    ]
+    for sample, reference in draws:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(STREAM_DRAWS):
+            got, want = sample(rng), reference(ref)
+            got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+            assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def drawn_columns(monkeypatch, suite, rng, n, units):
+    """The columns a suite hands its residuals, with the residuals not evaluated."""
+    seen = []
+    real = verify._suite
+
+    def spy(name, n, tol, draw, residuals):
+        def record(*columns):
+            seen.append(columns)
+            return np.zeros(len(columns[0]))
+
+        return real(name, n, tol, draw, record)
+
+    monkeypatch.setattr(verify, "_suite", spy)
+    getattr(verify, f"{suite}_suite")(rng, n, units)
+    return [np.concatenate(c) for c in zip(*seen)]
+
+
+@pytest.mark.parametrize("c", [1.0, 299_792_458.0])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("suite", sorted(REFERENCE_DRAWS))
+def test_suite_draws_follow_the_reference_stream(monkeypatch, suite, seed, c):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = drawn_columns(monkeypatch, suite, rng, STREAM_DRAWS, verify.UnitsConfig(c))
+    want = [np.array(col) for col in zip(*(REFERENCE_DRAWS[suite](ref, c) for _ in range(STREAM_DRAWS)))]
+    assert len(got) == len(want)
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def report(results):

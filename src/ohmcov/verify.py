@@ -8,22 +8,27 @@ close to the boost resonance omega = v.k are resampled.
 
 Each suite draws its samples one at a time from the generator, in a fixed
 order per sample, and evaluates them BLOCK at a time through the array
-kernels with one boost per sample.  The kernels round each sample as the
+kernels with one boost per sample.  Each run of consecutive uniforms in the
+stream is one generator call, mapped with rng.uniform's arithmetic, while
+normals and the resonance guard stay per sample; so the stream is the one
+the public samplers draw.  The kernels round each sample as the
 single-point functions do, so a seed gives the same residuals at any block
-size.  Every check a single-point function makes runs on every sample;
-should one fail, the block is evaluated again sample by sample, so the
-first failing sample in draw order raises that function's error.
+size.  Every check a single-point function or value makes runs on every
+sample, the points' included; should one fail, the block is evaluated again
+sample by sample, so the first failing sample in draw order raises that
+check's error.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OhmcovError
-from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _dots, _finite, _fours
+from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _checked, _dots, _finite, _fours
 from .ohm import (
     _from_electric,
     _from_potential,
@@ -91,53 +96,83 @@ def _rel_errors(a: np.ndarray, b: np.ndarray, floor: float = ABS_FLOOR) -> np.nd
     return np.abs(a - b).max(axis=axes) / scale
 
 
-def sample_sigma(rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, (3, 3)) + 1j * rng.uniform(-1.0, 1.0, (3, 3))
+def _uniform(low: float, high: float, u):
+    """rng.uniform(low, high)'s arithmetic on the generator's u in [0, 1)."""
+    return low + (high - low) * u
 
 
-def _sample_direction(rng: np.random.Generator) -> np.ndarray:
+def _complexes(u: np.ndarray, *shapes: tuple) -> list:
+    """Complex values from runs of uniforms u (..., m), one per shape in turn,
+    each drawn as rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape):
+    its real parts, then its imaginary parts."""
+    x = _uniform(-1.0, 1.0, u)
+    values, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        z = x[..., at:at + size] + 1j * x[..., at + size:at + 2 * size]
+        values.append(z.reshape(*u.shape[:-1], *shape))
+        at += 2 * size
+    return values
+
+
+def _direction(rng: np.random.Generator) -> np.ndarray:
     while True:
         g = rng.standard_normal(3)
-        n = float(np.linalg.norm(g))
+        n = math.sqrt(g.dot(g))  # np.linalg.norm(g)'s arithmetic
         if n > 1e-12:
             return g / n
 
 
+def _point(rng: np.random.Generator, lead) -> tuple:
+    """sample_point's omega and k, from its two leading uniforms."""
+    return _uniform(0.1, 10.0, lead[0]), _uniform(0.0, 5.0, lead[1]) * _direction(rng)
+
+
+def _velocity(rng: np.random.Generator, c: float, vmax: float = 0.9) -> np.ndarray:
+    return c * _uniform(0.0, vmax, rng.random()) * _direction(rng)
+
+
+def _setup(rng: np.random.Generator, c: float, lead, width: int) -> tuple:
+    """sample_boost_setup's draws, from its two leading uniforms, and the run
+    of width uniforms that follows them: omega, k, v and that run.  A point
+    that is not finite passes the guard, to fail the point checks."""
+    while True:
+        omega, k = _point(rng, lead)
+        v = _velocity(rng, c)
+        v_dot_k = float(v @ k)
+        gap = abs(omega - v_dot_k)
+        if gap > SAMPLER_GUARD_RTOL * max(abs(omega), abs(v_dot_k)) or not math.isfinite(gap):
+            return omega, k, v, rng.random(width)
+        lead = rng.random(2)
+
+
+def sample_sigma(rng: np.random.Generator) -> np.ndarray:
+    return _complexes(rng.random(18), (3, 3))[0]
+
+
 def sample_point(rng: np.random.Generator) -> Wavevector4:
-    return Wavevector4(rng.uniform(0.1, 10.0), rng.uniform(0.0, 5.0) * _sample_direction(rng))
+    return Wavevector4(*_point(rng, rng.random(2)))
 
 
 def sample_velocity(rng: np.random.Generator, units: UnitsConfig = NATURAL, vmax: float = 0.9) -> np.ndarray:
-    return units.c * rng.uniform(0.0, vmax) * _sample_direction(rng)
+    return _velocity(rng, units.c, vmax)
 
 
 def sample_boost_setup(rng: np.random.Generator, units: UnitsConfig = NATURAL) -> tuple[Wavevector4, np.ndarray]:
     """A (point, velocity) pair safely away from the boost resonance."""
-    while True:
-        kw = sample_point(rng)
-        v = sample_velocity(rng, units)
-        v_dot_k = float(v @ kw.kvec)
-        if abs(kw.omega - v_dot_k) > SAMPLER_GUARD_RTOL * max(abs(kw.omega), abs(v_dot_k)):
-            return kw, v
-
-
-def _complex_vec(rng: np.random.Generator, n: int = 3) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-
-
-def _complex(rng: np.random.Generator) -> complex:
-    return complex(*rng.uniform(-1.0, 1.0, 2))
+    omega, k, v, _ = _setup(rng, units.c, rng.random(2), 0)
+    return Wavevector4(omega, k), v
 
 
 def _suite(name: str, n: int, tol: float, draw, residuals) -> SuiteResult:
-    """Run a suite over n samples: draw() returns one sample's values, in the
-    order they come from the generator; residuals(*columns) checks a block of
-    samples, each value stacked along a leading axis, and returns the
-    residual of each.  A NaN residual fails the suite."""
+    """Run a suite over n samples: draw(m) returns the next m samples as
+    columns, each value stacked along a leading axis; residuals(*columns)
+    checks them and returns the residual of each.  A NaN residual fails the
+    suite."""
     start = time.perf_counter()
     worst = 0.0
     for lo in range(0, n, BLOCK):
-        columns = [np.array(c) for c in zip(*(draw() for _ in range(min(BLOCK, n - lo))))]
+        columns = draw(min(BLOCK, n - lo))
         try:
             worst = np.max(residuals(*columns), initial=worst)
         except OhmcovError:
@@ -147,14 +182,48 @@ def _suite(name: str, n: int, tol: float, draw, residuals) -> SuiteResult:
     return SuiteResult(name, n, float(worst), tol, time.perf_counter() - start)
 
 
-def _boost_draw(rng: np.random.Generator, units: UnitsConfig):
-    """A draw of sample_boost_setup and a conductivity: omega, k, v, sigma."""
+def _draw(rng: np.random.Generator, n: int, width: int, sample, columns):
+    """draw(m) for _suite over n samples.
 
-    def draw():
-        kw, v = sample_boost_setup(rng, units)
-        return kw.omega, kw.kvec, v, sample_sigma(rng)
+    Each sample opens with two uniforms and closes with a run of width
+    uniforms, and the next sample's two follow that run in the stream, so
+    one generator call draws both.  sample(lead, m) draws one sample from its
+    two leading uniforms and returns its values, the last a run of m
+    uniforms; columns(*stacked) maps the stacked values to the columns."""
+    drawn, lead = 0, None
+
+    def draw(m):
+        nonlocal drawn, lead
+        if not drawn:
+            lead = rng.random(2)
+        rows = []
+        for _ in range(m):
+            drawn += 1
+            *values, run = sample(lead, width + 2 * (drawn < n))
+            rows.append((*values, run[:width]))
+            lead = run[width:]
+        return columns(*(np.array(c) for c in zip(*rows)))
 
     return draw
+
+
+# Shapes of a conductivity, a scalar and a vector potential, drawn in turn.
+_POTENTIAL = ((3, 3), (), (3,))
+
+
+def _boost_draw(rng: np.random.Generator, n: int, units: UnitsConfig):
+    """sample_boost_setup and sample_sigma's draws: omega, k, v, sigma."""
+    return _draw(
+        rng, n, 18,
+        lambda lead, m: _setup(rng, units.c, lead, m),
+        lambda omega, k, v, u: (omega, k, v, *_complexes(u, (3, 3))),
+    )
+
+
+def _points(omega, k) -> None:
+    """Wavevector4's checks for N points: omega (N,), k (N, 3)."""
+    _checked(omega, (), float, "omega", stacked=True)
+    _checked(k, (3,), float, "kvec", stacked=True)
 
 
 # The checks made at construction of the values the single-point functions return, for N of them.
@@ -213,6 +282,7 @@ def oracle_equivalence_suite(
     """
 
     def residuals(omega, k, v, sigma):
+        _points(omega, k)
         _usable(sigma, omega, k)
         bp = BoostParams(v, units)
         direct = _usable(*_direct(sigma, omega, k, bp))
@@ -222,34 +292,34 @@ def oracle_equivalence_suite(
             _rel_errors(_fours(*direct[1:], units), _fours(*oracle[1:], units)),
         )
 
-    return _suite("oracle_equivalence", n, 1e-10, _boost_draw(rng, units), residuals)
+    return _suite("oracle_equivalence", n, 1e-10, _boost_draw(rng, n, units), residuals)
 
 
 def round_trip_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
     """Boost then invert recovers the original tensor."""
 
     def residuals(omega, k, v, sigma):
+        _points(omega, k)
         _usable(sigma, omega, k)
         bp = BoostParams(v, units)
         there = _usable(*_direct(sigma, omega, k, bp))
         back = _usable(*_inverse(there[0], omega, k, bp))
         return _rel_errors(back[0], sigma)
 
-    return _suite("round_trip", n, 1e-10, _boost_draw(rng, units), residuals)
-
-
-def _potential_draw(rng: np.random.Generator):
-    """A sample point, a conductivity and a potential there: omega, k, sigma, phi, A."""
-    kw = sample_point(rng)
-    sigma = sample_sigma(rng)
-    phi = _complex(rng)
-    return kw.omega, kw.kvec, sigma, phi, _complex_vec(rng)
+    return _suite("round_trip", n, 1e-10, _boost_draw(rng, n, units), residuals)
 
 
 def gauge_invariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
     """The induced current ignores gauge shifts of the potential."""
 
+    draw = _draw(
+        rng, n, 28,
+        lambda lead, m: (*_point(rng, lead), rng.random(m)),
+        lambda omega, k, u: (omega, k, *_complexes(u, *_POTENTIAL, ())),
+    )
+
     def residuals(omega, k, sigma, phi, avec, f):
+        _points(omega, k)
         full = _response(sigma, omega, k, units)
         _potential(phi, avec)
         j0 = _current_fours(*_current(full, phi, avec, units), units)
@@ -257,7 +327,7 @@ def gauge_invariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig 
         denom = np.abs(j0).max(axis=1) + np.abs(_potential_fours(phi, avec, units)).max(axis=1) + ABS_FLOOR
         return np.abs(j1 - j0).max(axis=1) / denom
 
-    return _suite("gauge_invariance", n, 1e-13, lambda: (*_potential_draw(rng), _complex(rng)), residuals)
+    return _suite("gauge_invariance", n, 1e-13, draw, residuals)
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -276,12 +346,17 @@ def _continuity_residual(omega, kvec, rho, jvec) -> np.ndarray:
 def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
     """omega rho = k.j for every current the package produces."""
 
-    def draw():
-        first = _potential_draw(rng)
-        kw, v = sample_boost_setup(rng, units)
-        return *first, kw.omega, kw.kvec, v, _complex_vec(rng), sample_sigma(rng)
+    def sample(lead, m):
+        omega, k = _point(rng, lead)
+        u = rng.random(28)  # a conductivity and a potential, then the boost setup's lead
+        return omega, k, u[:26], *_setup(rng, units.c, u[26:], m)
+
+    def columns(omega, k, u, omega2, k2, v, u2):
+        return omega, k, *_complexes(u, *_POTENTIAL), omega2, k2, v, *_complexes(u2, (3,), (3, 3))
 
     def residuals(omega, k, sigma, phi, avec, omega2, k2, v, e, sigma2):
+        _points(omega, k)
+        _points(omega2, k2)
         full = _response(sigma, omega, k, units)
         _potential(phi, avec)
         worst = _continuity_residual(omega, k, *_current(full, phi, avec, units))
@@ -290,7 +365,7 @@ def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
         _, j, rho = _ohm(sigma2, BoostParams(v, units), e, b, omega2, k2)
         return np.maximum(worst, _continuity_residual(omega2, k2, rho, j))
 
-    return _suite("continuity", n, 1e-12, draw, residuals)
+    return _suite("continuity", n, 1e-12, _draw(rng, n, 24, sample, columns), residuals)
 
 
 def ohm_covariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
@@ -302,13 +377,14 @@ def ohm_covariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = 
     the new frame, and apply Ohm's law there.
     """
 
-    def draw():
-        kw, v = sample_boost_setup(rng, units)
-        sigma = sample_sigma(rng)
-        phi = _complex(rng)
-        return kw.omega, kw.kvec, v, sigma, phi, _complex_vec(rng)
+    draw = _draw(
+        rng, n, 26,
+        lambda lead, m: _setup(rng, units.c, lead, m),
+        lambda omega, k, v, u: (omega, k, v, *_complexes(u, *_POTENTIAL)),
+    )
 
     def residuals(omega, k, v, sigma, phi, avec):
+        _points(omega, k)
         _potential(phi, avec)
         bp = BoostParams(v, units)
         lam = bp.matrix().entries
@@ -332,12 +408,14 @@ def textbook_specialization_suite(rng: np.random.Generator, n: int, units: Units
     """For scalar conductivity the generalized drift reduces to the
     textbook expression."""
 
-    def draw():
-        kw, v = sample_boost_setup(rng, units)
-        s0 = _complex(rng)
-        return kw.omega, kw.kvec, v, s0, _complex_vec(rng)
+    draw = _draw(
+        rng, n, 8,
+        lambda lead, m: _setup(rng, units.c, lead, m),
+        lambda omega, k, v, u: (omega, k, v, *_complexes(u, (), (3,))),
+    )
 
     def residuals(omega, k, v, s0, e):
+        _points(omega, k)
         e, b = _electric(e, omega, k)
         bp = BoostParams(v, units)
         drift, _, _ = _ohm(s0[:, None, None] * np.eye(3), bp, e, b, omega, k)

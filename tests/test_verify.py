@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from ohmcov import SpeedLimit, BoostParams, verify
+from ohmcov import BoostParams, InvariantViolation, SpeedLimit, Wavevector4, verify
 from ohmcov.verify import run_all, round_trip_suite
 
 RECORD = {
@@ -290,22 +290,67 @@ def test_first_bad_sample_in_draw_order_raises(monkeypatch):
     the SpeedLimit a single-point boost of its velocity raises."""
     monkeypatch.setattr(verify, "BLOCK", 16)
     velocities, sigmas = [], []
-    setup, sigma = verify.sample_boost_setup, verify.sample_sigma
+    setup = verify._setup
 
-    def bad_setup(rng, units=verify.NATURAL):
-        kw, v = setup(rng, units)
+    def bad_setup(rng, c, lead, width):
+        omega, k, v, run = setup(rng, c, lead, width)
         velocities.append(1.5 * v / np.linalg.norm(v) if len(velocities) == 3 else v)
-        return kw, velocities[-1]
+        if len(sigmas) == 9:
+            run = run.copy()
+            run[:18] = np.nan  # the uniforms of the sample's conductivity
+        sigmas.append(verify._complexes(run[:18], (3, 3))[0])
+        return omega, k, velocities[-1], run
 
-    def bad_sigma(rng):
-        sigmas.append(np.full((3, 3), np.nan) if len(sigmas) == 9 else sigma(rng))
-        return sigmas[-1]
-
-    monkeypatch.setattr(verify, "sample_boost_setup", bad_setup)
-    monkeypatch.setattr(verify, "sample_sigma", bad_sigma)
+    monkeypatch.setattr(verify, "_setup", bad_setup)
     with pytest.raises(SpeedLimit) as info:
         round_trip_suite(np.random.default_rng(3), 40)
     assert len(velocities) == 16 and np.isnan(sigmas[9]).all()  # the whole block was drawn
     with pytest.raises(SpeedLimit) as single:
         BoostParams(velocities[3])
     assert str(info.value) == str(single.value)
+
+
+@pytest.mark.parametrize("field, message", [(0, "omega entries must be finite"), (1, "kvec entries must be finite")])
+@pytest.mark.parametrize("suite", sorted(REFERENCE_DRAWS))
+def test_non_finite_point_raises_the_point_check(monkeypatch, suite, field, message):
+    """A drawn point that is not finite, in the middle of a block, raises
+    the InvariantViolation a Wavevector4 of it raises, boost setups included:
+    the resonance guard lets it through to the check."""
+    monkeypatch.setattr(verify, "BLOCK", 16)
+    points = []
+    point = verify._point
+
+    def bad_point(rng, lead):
+        drawn = list(point(rng, lead))
+        if len(points) == 20:
+            drawn[field] = drawn[field] * np.nan
+        points.append(drawn)
+        return tuple(drawn)
+
+    monkeypatch.setattr(verify, "_point", bad_point)
+    with pytest.raises(InvariantViolation) as info:
+        getattr(verify, f"{suite}_suite")(np.random.default_rng(0), 40)
+    assert str(info.value) == message
+    with pytest.raises(InvariantViolation) as single:
+        Wavevector4(*points[20])
+    assert str(single.value) == message
+
+
+def test_no_wavevector4_per_drawn_point(monkeypatch):
+    """The suites check their points per block and build no Wavevector4;
+    sample_point still returns a checked one."""
+    built = []
+    post_init = Wavevector4.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Wavevector4, "__post_init__", counted)
+    run_all(0, 300)
+    assert built == []
+    kw = verify.sample_point(np.random.default_rng(0))
+    assert isinstance(kw, Wavevector4) and len(built) == 1
+    monkeypatch.setattr(verify, "_point", lambda rng, lead: (np.nan, np.zeros(3)))
+    with pytest.raises(InvariantViolation, match="omega entries must be finite"):
+        verify.sample_point(np.random.default_rng(0))

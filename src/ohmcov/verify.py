@@ -182,14 +182,15 @@ def _suite(name: str, n: int, tol: float, draw, residuals) -> SuiteResult:
     return SuiteResult(name, n, float(worst), tol, time.perf_counter() - start)
 
 
-def _draw(rng: np.random.Generator, n: int, width: int, sample, columns):
+def _draw(rng: np.random.Generator, n: int, sample, *shapes: tuple):
     """draw(m) for _suite over n samples.
 
-    Each sample opens with two uniforms and closes with a run of width
-    uniforms, and the next sample's two follow that run in the stream, so
-    one generator call draws both.  sample(lead, m) draws one sample from its
-    two leading uniforms and returns its values, the last a run of m
-    uniforms; columns(*stacked) maps the stacked values to the columns."""
+    Each sample opens with two uniforms and closes with a run of uniforms,
+    drawn as complex values of the given shapes, and the next sample's two
+    follow that run in the stream, so one generator call draws both.
+    sample(lead, m) draws one sample from its two leading uniforms and
+    returns its values, the last a run of m uniforms."""
+    width = 2 * sum(math.prod(shape) for shape in shapes)
     drawn, lead = 0, None
 
     def draw(m):
@@ -202,22 +203,19 @@ def _draw(rng: np.random.Generator, n: int, width: int, sample, columns):
             *values, run = sample(lead, width + 2 * (drawn < n))
             rows.append((*values, run[:width]))
             lead = run[width:]
-        return columns(*(np.array(c) for c in zip(*rows)))
+        *values, runs = (np.array(c) for c in zip(*rows))
+        return *values, *_complexes(runs, *shapes)
 
     return draw
 
 
+def _boost_draw(rng: np.random.Generator, n: int, units: UnitsConfig, *shapes: tuple):
+    """sample_boost_setup's draws, then complex values of the given shapes."""
+    return _draw(rng, n, lambda lead, m: _setup(rng, units.c, lead, m), *shapes)
+
+
 # Shapes of a conductivity, a scalar and a vector potential, drawn in turn.
 _POTENTIAL = ((3, 3), (), (3,))
-
-
-def _boost_draw(rng: np.random.Generator, n: int, units: UnitsConfig):
-    """sample_boost_setup and sample_sigma's draws: omega, k, v, sigma."""
-    return _draw(
-        rng, n, 18,
-        lambda lead, m: _setup(rng, units.c, lead, m),
-        lambda omega, k, v, u: (omega, k, v, *_complexes(u, (3, 3))),
-    )
 
 
 def _points(omega, k) -> None:
@@ -292,7 +290,7 @@ def oracle_equivalence_suite(
             _rel_errors(_fours(*direct[1:], units), _fours(*oracle[1:], units)),
         )
 
-    return _suite("oracle_equivalence", n, 1e-10, _boost_draw(rng, n, units), residuals)
+    return _suite("oracle_equivalence", n, 1e-10, _boost_draw(rng, n, units, (3, 3)), residuals)
 
 
 def round_trip_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
@@ -306,17 +304,13 @@ def round_trip_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
         back = _usable(*_inverse(there[0], omega, k, bp))
         return _rel_errors(back[0], sigma)
 
-    return _suite("round_trip", n, 1e-10, _boost_draw(rng, n, units), residuals)
+    return _suite("round_trip", n, 1e-10, _boost_draw(rng, n, units, (3, 3)), residuals)
 
 
 def gauge_invariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
     """The induced current ignores gauge shifts of the potential."""
 
-    draw = _draw(
-        rng, n, 28,
-        lambda lead, m: (*_point(rng, lead), rng.random(m)),
-        lambda omega, k, u: (omega, k, *_complexes(u, *_POTENTIAL, ())),
-    )
+    draw = _draw(rng, n, lambda lead, m: (*_point(rng, lead), rng.random(m)), *_POTENTIAL, ())
 
     def residuals(omega, k, sigma, phi, avec, f):
         _points(omega, k)
@@ -351,8 +345,11 @@ def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
         u = rng.random(28)  # a conductivity and a potential, then the boost setup's lead
         return omega, k, u[:26], *_setup(rng, units.c, u[26:], m)
 
-    def columns(omega, k, u, omega2, k2, v, u2):
-        return omega, k, *_complexes(u, *_POTENTIAL), omega2, k2, v, *_complexes(u2, (3,), (3, 3))
+    draw = _draw(rng, n, sample, (3,), (3, 3))
+
+    def columns(m):
+        omega, k, u, *rest = draw(m)
+        return omega, k, *_complexes(u, *_POTENTIAL), *rest
 
     def residuals(omega, k, sigma, phi, avec, omega2, k2, v, e, sigma2):
         _points(omega, k)
@@ -365,7 +362,7 @@ def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
         _, j, rho = _ohm(sigma2, BoostParams(v, units), e, b, omega2, k2)
         return np.maximum(worst, _continuity_residual(omega2, k2, rho, j))
 
-    return _suite("continuity", n, 1e-12, _draw(rng, n, 24, sample, columns), residuals)
+    return _suite("continuity", n, 1e-12, columns, residuals)
 
 
 def ohm_covariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
@@ -376,12 +373,6 @@ def ohm_covariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = 
     the conductivity and the potential separately, rebuild the fields in
     the new frame, and apply Ohm's law there.
     """
-
-    draw = _draw(
-        rng, n, 26,
-        lambda lead, m: _setup(rng, units.c, lead, m),
-        lambda omega, k, v, u: (omega, k, v, *_complexes(u, *_POTENTIAL)),
-    )
 
     def residuals(omega, k, v, sigma, phi, avec):
         _points(omega, k)
@@ -401,18 +392,12 @@ def ohm_covariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = 
         rho_p = _induced_charge(sigma_p, e_p, omega_p, k_p)
         return _rel_errors(j4, _current_fours(rho_p, j_p, units))
 
-    return _suite("ohm_covariance", n, 1e-10, draw, residuals)
+    return _suite("ohm_covariance", n, 1e-10, _boost_draw(rng, n, units, *_POTENTIAL), residuals)
 
 
 def textbook_specialization_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
     """For scalar conductivity the generalized drift reduces to the
     textbook expression."""
-
-    draw = _draw(
-        rng, n, 8,
-        lambda lead, m: _setup(rng, units.c, lead, m),
-        lambda omega, k, v, u: (omega, k, v, *_complexes(u, (), (3,))),
-    )
 
     def residuals(omega, k, v, s0, e):
         _points(omega, k)
@@ -421,7 +406,7 @@ def textbook_specialization_suite(rng: np.random.Generator, n: int, units: Units
         drift, _, _ = _ohm(s0[:, None, None] * np.eye(3), bp, e, b, omega, k)
         return _rel_errors(drift, _textbook(s0, bp, e, b))
 
-    return _suite("textbook_specialization", n, 1e-12, draw, residuals)
+    return _suite("textbook_specialization", n, 1e-12, _boost_draw(rng, n, units, (), (3,)), residuals)
 
 
 def run_all(

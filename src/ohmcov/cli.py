@@ -399,6 +399,8 @@ def cmd_verify(args) -> int:
     samples = _option(args.samples, cfg, "samples", _is_int, "an integer", 1000)
     if samples <= 0:
         raise ConfigError(f"samples must be positive, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     fault = 1e-6 if args.inject_fault else 0.0
     results = run_all(seed, samples, units, fault=fault)
@@ -484,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--textbook", action="store_true", help="fail instead of skipping the textbook formula when the conductivity is not scalar")
 
     p = common("verify", "run the randomized self checks", cmd_verify)
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
+    p.add_argument("--seed", type=int, help="random seed, a non-negative integer (default 0)")
     p.add_argument("--samples", type=int, help="samples per suite (default 1000)")
     p.add_argument(
         "--inject-fault",

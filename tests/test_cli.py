@@ -432,6 +432,20 @@ def test_verify_bad_samples_exit_2(capsys):
     assert "samples" in err
 
 
+def test_verify_negative_seed_flag_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--samples", "5", "--seed=-1")
+    assert code == 2 and out == ""
+    assert "seed must be non-negative, got -1" in err
+
+
+def test_verify_negative_seed_in_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -5, "samples": 5}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "seed must be non-negative, got -5" in err
+
+
 def test_verify_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--samples", "20", "--seed", "7")
     code2, out2, _ = run_cli(capsys, "verify", "--samples", "20", "--seed", "7")

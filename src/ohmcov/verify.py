@@ -128,17 +128,13 @@ def _point(rng: np.random.Generator, lead) -> tuple:
     return _uniform(0.1, 10.0, lead[0]), _uniform(0.0, 5.0, lead[1]) * _direction(rng)
 
 
-def _velocity(rng: np.random.Generator, c: float, vmax: float = 0.9) -> np.ndarray:
-    return c * _uniform(0.0, vmax, rng.random()) * _direction(rng)
-
-
-def _setup(rng: np.random.Generator, c: float, lead, width: int) -> tuple:
+def _setup(rng: np.random.Generator, units: UnitsConfig, lead, width: int) -> tuple:
     """sample_boost_setup's draws, from its two leading uniforms, and the run
     of width uniforms that follows them: omega, k, v and that run.  A point
     that is not finite passes the guard, to fail the point checks."""
     while True:
         omega, k = _point(rng, lead)
-        v = _velocity(rng, c)
+        v = sample_velocity(rng, units)
         v_dot_k = float(v @ k)
         gap = abs(omega - v_dot_k)
         if gap > SAMPLER_GUARD_RTOL * max(abs(omega), abs(v_dot_k)) or not math.isfinite(gap):
@@ -155,12 +151,12 @@ def sample_point(rng: np.random.Generator) -> Wavevector4:
 
 
 def sample_velocity(rng: np.random.Generator, units: UnitsConfig = NATURAL, vmax: float = 0.9) -> np.ndarray:
-    return _velocity(rng, units.c, vmax)
+    return units.c * _uniform(0.0, vmax, rng.random()) * _direction(rng)
 
 
 def sample_boost_setup(rng: np.random.Generator, units: UnitsConfig = NATURAL) -> tuple[Wavevector4, np.ndarray]:
     """A (point, velocity) pair safely away from the boost resonance."""
-    omega, k, v, _ = _setup(rng, units.c, rng.random(2), 0)
+    omega, k, v, _ = _setup(rng, units, rng.random(2), 0)
     return Wavevector4(omega, k), v
 
 
@@ -211,7 +207,7 @@ def _draw(rng: np.random.Generator, n: int, sample, *shapes: tuple):
 
 def _boost_draw(rng: np.random.Generator, n: int, units: UnitsConfig, *shapes: tuple):
     """sample_boost_setup's draws, then complex values of the given shapes."""
-    return _draw(rng, n, lambda lead, m: _setup(rng, units.c, lead, m), *shapes)
+    return _draw(rng, n, lambda lead, m: _setup(rng, units, lead, m), *shapes)
 
 
 # Shapes of a conductivity, a scalar and a vector potential, drawn in turn.
@@ -343,7 +339,7 @@ def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
     def sample(lead, m):
         omega, k = _point(rng, lead)
         u = rng.random(28)  # a conductivity and a potential, then the boost setup's lead
-        return omega, k, u[:26], *_setup(rng, units.c, u[26:], m)
+        return omega, k, u[:26], *_setup(rng, units, u[26:], m)
 
     draw = _draw(rng, n, sample, (3,), (3, 3))
 

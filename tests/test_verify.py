@@ -292,8 +292,8 @@ def test_first_bad_sample_in_draw_order_raises(monkeypatch):
     velocities, sigmas = [], []
     setup = verify._setup
 
-    def bad_setup(rng, c, lead, width):
-        omega, k, v, run = setup(rng, c, lead, width)
+    def bad_setup(rng, units, lead, width):
+        omega, k, v, run = setup(rng, units, lead, width)
         velocities.append(1.5 * v / np.linalg.norm(v) if len(velocities) == 3 else v)
         if len(sigmas) == 9:
             run = run.copy()

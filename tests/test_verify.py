@@ -200,7 +200,7 @@ def same_bits(a, b):
 def test_public_samplers_follow_the_reference_stream(seed, c):
     units = verify.UnitsConfig(c)
     draws = [
-        (lambda rng: verify.sample_sigma(rng), ref_sigma),
+        (verify.sample_sigma, ref_sigma),
         (lambda rng: (lambda kw: (kw.omega, kw.kvec))(verify.sample_point(rng)), ref_point),
         (lambda rng: verify.sample_velocity(rng, units), lambda rng: ref_velocity(rng, c)),
         (lambda rng: verify.sample_velocity(rng, units, 0.5), lambda rng: ref_velocity(rng, c, 0.5)),

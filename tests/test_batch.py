@@ -51,6 +51,7 @@ from ohmcov import (
     transform_sigma_oracle,
 )
 from ohmcov import cli, materials, ohm
+from ohmcov.verify import rel_error
 from ohmcov.response import _apply, _gauge_shift, _potential_fours, _reconstruct
 from ohmcov.transform import _direct, _inverse, _oracle, _unusable
 
@@ -496,42 +497,70 @@ def test_tabulated_out_of_range_text():
     assert str(info.value) == f"omega = 3.5 outside the tabulated span {span} at k = [0.5, 0.0, 0.0]"
 
 
+def sweep_table(rng, ks, v, resonant):
+    """A linear-in-omega table with one column at each k of ks and 5 nodes over
+    a span that leaves some of [-6, 6] outside, and omega = 0 too in some
+    columns; column resonant also spans omega = v.k there."""
+    nodes = []
+    for j, kv in enumerate(ks):
+        lo, hi = rng.uniform(-6.0, 1.0), rng.uniform(2.0, 6.0)
+        if j == resonant:
+            w = float(v @ kv)
+            lo, hi = min(lo, w - 1.0), max(hi, w + 1.0)
+        for w in np.linspace(lo, hi, 5):
+            nodes.append((Wavevector4(w, kv), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))))
+    return Tabulated(nodes)
+
+
 def test_sweep_blocks_match_the_point_loop(tmp_path, capsys):
     """A grid larger than one block, with a resonance just past the first
-    block's edge, gives the rows and skips of the point-by-point loop."""
+    block's edge and a row of static points, gives the rows and skips of the
+    public single-point route run point by point; over a Drude model and over
+    a table, where points outside the span are skipped in both blocks too and
+    a static point outside the span is skipped as static."""
     units = UnitsConfig(2.0)
     v = np.array([0.8, 0.3, -0.2])
-    model = Drude(3.0 + 0.5j, 0.4)
     rng = np.random.default_rng(11)
     ks = rng.uniform(-3.0, 3.0, (31, 3))
     omegas = rng.uniform(-6.0, 6.0, 40)
     edge = cli.SWEEP_BLOCK + 3  # grid index of (omegas[33], ks[3]), in the second block
     omegas[edge // 31] = float(v @ ks[edge % 31])
-    model_path = tmp_path / "drude.json"
-    model_path.write_text(json.dumps({"type": "drude", "sigma0": [3.0, 0.5], "tau": 0.4}))
-    out = tmp_path / "sweep.csv"
-    argv = [
-        "sweep", f"--model={model_path}", "--c=2", "--velocity=" + ",".join(map(repr, v.tolist())),
-        "--omega=" + ",".join(map(repr, omegas.tolist())),
-        "--k=" + ";".join(",".join(map(repr, kv)) for kv in ks.tolist()), f"--output={out}",
-    ]
-    assert cli.main(argv) == 0
-    rows = iter(cli.load_sweep_csv(out))
-    skipped = []
-    for w in omegas.tolist():
-        for kv in ks.tolist():
+    omegas[16] = 0.0
+    models = {"drude": Drude(3.0 + 0.5j, 0.4), "tabulated": sweep_table(rng, ks, v, edge % 31)}
+    for name, model in models.items():
+        model_path = tmp_path / f"{name}.json"
+        materials.save_model(model, model_path)
+        out = tmp_path / f"{name}.csv"
+        argv = [
+            "sweep", f"--model={model_path}", "--c=2", "--velocity=" + ",".join(map(repr, v.tolist())),
+            "--omega=" + ",".join(map(repr, omegas.tolist())),
+            "--k=" + ";".join(",".join(map(repr, kv)) for kv in ks.tolist()), f"--output={out}",
+        ]
+        assert cli.main(argv) == 0
+        rows = iter(cli.load_sweep_csv(out))
+        skipped, reasons = [], set()
+        for index, (w, kv) in enumerate((w, kv) for w in omegas.tolist() for kv in ks.tolist()):
             kw = Wavevector4(w, kv)
             try:
-                _, direct, residual, _ = cli._transform_point(model, kw, v, units)
-            except BoostResonance as exc:
-                skipped.append(f"skipped omega={w!r} k={kv!r}: BoostResonance: {exc}")
+                sample = FrameSample(model.evaluate(kw), kw)
+                direct = boost_sigma_direct(sample, v, units)
+                oracle = transform_sigma_oracle(sample, boost_matrix(v, units), units)
+            except (BoostResonance, StaticFrequency, OutOfRange) as exc:
+                skipped.append(f"skipped omega={w!r} k={kv!r}: {type(exc).__name__}: {exc}")
+                reasons.add((type(exc), index < cli.SWEEP_BLOCK))
                 continue
             row = next(rows)
             assert row["at"] == kw and row["at_prime"] == direct.at
             assert_same_bits(row["sigma_prime"], direct.sigma)
-            assert row["residual"] == residual
-    assert next(rows, None) is None
-    assert skipped and capsys.readouterr().err.splitlines() == skipped
+            assert row["residual"] == rel_error(direct.sigma, oracle.sigma)
+        assert next(rows, None) is None
+        assert capsys.readouterr().err.splitlines() == skipped
+        assert all(": StaticFrequency: " in line for line in skipped if line.startswith("skipped omega=0.0 "))
+        # (reason, in the first block): static points in the first, the resonance in the second
+        want = {(StaticFrequency, True), (BoostResonance, False)}
+        if name == "tabulated":
+            want |= {(OutOfRange, True), (OutOfRange, False)}
+        assert reasons == want
 
 
 def flatten(value):

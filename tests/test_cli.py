@@ -102,6 +102,19 @@ def test_transform_resonance_exit_3(tmp_path, capsys):
     assert "omega=1.0" in err
 
 
+def test_static_point_is_reported_before_the_velocity(tmp_path, capsys):
+    """transform evaluates the model before it checks the velocity; sweep
+    checks the velocity before it visits any point."""
+    path = model_path(tmp_path, Drude(2.0, 0.5))
+    point = ["--model", path, "--velocity=1.5,0,0", "--omega=0", "--k=0,0,0"]
+    code, out, err = run_cli(capsys, "transform", *point)
+    assert (code, out) == (3, "")
+    assert err == "error: at omega=0.0 k=[0.0, 0.0, 0.0]: |omega| = 0.0 is below the static floor 1.0e-14\n"
+    code, out, err = run_cli(capsys, "sweep", *point)
+    assert (code, out) == (2, "")
+    assert err == "error: |v| = 1.5 is at or above the speed of light c = 1.0\n"
+
+
 def test_transform_missing_model_exit_2(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "transform", "--model", str(tmp_path / "absent.json"), "--omega", "1", "--k", "0,0,0"

@@ -37,7 +37,7 @@ from .errors import (
 from .materials import MaterialModel, Tabulated, load_model, model_from_dict
 from .minkowski import BoostParams, UnitsConfig, Wavevector4, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
-from .transform import FrameSample, _direct, _one, _oracle, _unusable, transform_sigma_oracle
+from .transform import FrameSample, _direct, _flagged, _frame_faults, _one, _oracle, _raise, transform_sigma_oracle
 from .verify import _rel_errors, rel_error, run_all
 
 __all__ = ["main", "load_sweep_csv", "tabulated_from_sweep"]
@@ -270,33 +270,24 @@ def _point(kw: Wavevector4, kw_p: Wavevector4) -> dict:
 # subcommands
 
 
-def _transform_point(model: MaterialModel, kw: Wavevector4, v: np.ndarray, units: UnitsConfig):
-    """Evaluate, boost, cross check one point; sweep does the same in blocks.
-
-    Returns the sample, its boost, the residual against the oracle and the boost's gamma.
-    """
-    sample = FrameSample(model.evaluate(kw), kw)
-    bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
-    direct = _one(_direct, sample.sigma, sample.at, bp)
-    oracle = transform_sigma_oracle(sample, bp.matrix(), units)
-    return sample, direct, rel_error(direct.sigma, oracle.sigma), bp.gamma  # both move (k, omega) by the same code
-
-
 def cmd_transform(args) -> int:
     cfg, units, fmt, path = _setup(args, "structured")
     model, v = _model_and_velocity(args, cfg)
     kw = _resolve_single_point(args, cfg)
 
     try:
-        sample, direct, residual, gamma = _transform_point(model, kw, v, units)
+        sample = FrameSample(model.evaluate(kw), kw)
+        bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
+        direct = _one(_direct, sample.sigma, sample.at, bp)  # boost_sigma_direct on the boost built here
+        oracle = transform_sigma_oracle(sample, bp.matrix(), units)
     except (BoostResonance, StaticFrequency, OutOfRange) as exc:
         raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
     record = {
         **_point(kw, direct.at),
-        "gamma": gamma,
+        "gamma": bp.gamma,
         "sigma": _pairs(sample.sigma),
         "sigma_prime": _pairs(direct.sigma),
-        "residual": residual,
+        "residual": rel_error(direct.sigma, oracle.sigma),  # both move (k, omega) by the same code
     }
     _emit(fmt, path, record, _TRANSFORM, [_cells(_TRANSFORM, record)])
     return 0
@@ -316,30 +307,29 @@ def cmd_sweep(args) -> int:
     skipped = []
     for start in range(0, len(grid_omega), SWEEP_BLOCK):
         omega, k = grid_omega[start:start + SWEEP_BLOCK], grid_k[start:start + SWEEP_BLOCK]
-        with np.errstate(all="ignore"):  # _transform_point at each point; bad flags where it raises
-            sigma, bad, _ = model._evaluate(omega, k)
-            sigma_p, omega_p, k_p, direct_bad, _ = _direct(sigma, omega, k, bp)
-            oracle = _oracle(sigma, omega, k, bp.matrix(), units)
-            residual = _rel_errors(sigma_p, oracle[0])
-        bad |= _unusable(sigma, omega, k) | direct_bad | _unusable(sigma_p, omega_p, k_p) | oracle[3]
-        bad |= _unusable(*oracle[:3])
+        with np.errstate(all="ignore"):  # cmd_transform's route at each point; the faults flag where it raises
+            sigma, model_faults = model._evaluate(omega, k)
+            sigma_p, omega_p, k_p, direct_faults = _direct(sigma, omega, k, bp)
+            sigma_o, _, _, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), units)
+            residual = _rel_errors(sigma_p, sigma_o)
+        point, tensor = _frame_faults(sigma, omega, k)  # the point is checked before the model, its tensor after
+        faults = [point, *model_faults, tensor, *direct_faults, *oracle_faults]
         tables.append(np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual)))
-        for i in np.flatnonzero(bad):  # alone, each raises what it always raised
-            kw = Wavevector4(omega[i], k[i])
-            try:  # should it pass, the block's row holds the same numbers
-                _transform_point(model, kw, v, units)
+        for i in np.flatnonzero(_flagged(faults)).tolist():
+            try:
+                _raise(faults, i)
             except (BoostResonance, StaticFrequency, OutOfRange) as exc:
-                skipped.append((kw, f"{type(exc).__name__}: {exc}"))
+                skipped.append((omega[i].item(), k[i].tolist(), f"{type(exc).__name__}: {exc}"))
                 keep[start + i] = False
-    for kw, reason in skipped:
-        print(f"skipped omega={kw.omega!r} k={kw.kvec.tolist()!r}: {reason}", file=sys.stderr)
+    for w, kv, reason in skipped:
+        print(f"skipped omega={w!r} k={kv!r}: {reason}", file=sys.stderr)
     rows = np.concatenate(tables)[keep].tolist()
     if not rows:
         print("sweep produced no rows: every grid point was skipped", file=sys.stderr)
         return 3
     doc = None if fmt == "csv" else {
         "rows": [_sweep_record(row) for row in rows],
-        "skipped": [{"omega": kw.omega, "k": kw.kvec.tolist(), "reason": reason} for kw, reason in skipped],
+        "skipped": [{"omega": w, "k": kv, "reason": reason} for w, kv, reason in skipped],
     }
     _emit(fmt, path, doc, _SWEEP, rows)
     return 0

@@ -41,8 +41,9 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import InvariantViolation, OutOfRange, ParseError
-from .response import STATIC_OMEGA_FLOOR, require_dynamic
+from .response import _static
 from .minkowski import Wavevector4, _checked
+from .transform import _raise
 
 __all__ = [
     "MaterialModel",
@@ -67,7 +68,7 @@ _NEAREST_CELLS = 1 << 14  # (point, k column) pairs per nearest-k broadcast
 
 class MaterialModel:
     """Base class; concrete models implement _evaluate(omega, k), which returns sigma at N
-    checked points, the points it rejects and replay(i), point i's checks alone, in order."""
+    checked points and the faults of evaluate (transform._raise) at them."""
 
     def evaluate(self, kw: Wavevector4) -> np.ndarray:
         return self.evaluate_batch(np.array([kw.omega]), kw.kvec[None])[0]
@@ -75,14 +76,9 @@ class MaterialModel:
     def evaluate_batch(self, omega, k) -> np.ndarray:
         """The (N, 3, 3) conductivity at omega (N,), k (N, 3); raises as evaluate at the first bad point."""
         n = np.size(omega)
-        sigma, bad, replay = self._evaluate(_checked(omega, (n,), float, "omega"), _checked(k, (n, 3), float, "kvec"))
-        if bad.any():  # the first rejected point raises its usual error
-            replay(int(bad.argmax()))
+        sigma, faults = self._evaluate(_checked(omega, (n,), float, "omega"), _checked(k, (n, 3), float, "kvec"))
+        _raise(faults)
         return sigma
-
-
-def _static(omega: np.ndarray) -> tuple:  # the points require_dynamic rejects, and its replay
-    return abs(omega) < STATIC_OMEGA_FLOOR, lambda i: require_dynamic(float(omega[i]))
 
 
 def _drude(sigma0: complex, tau: float, omega: np.ndarray) -> np.ndarray:
@@ -100,7 +96,7 @@ class ConstantScalar(MaterialModel):
         object.__setattr__(self, "sigma0", complex(_checked(self.sigma0, (), complex, "sigma0")))
 
     def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
-        return np.repeat((self.sigma0 * np.eye(3, dtype=complex))[None], len(omega), axis=0), *_static(omega)
+        return np.repeat((self.sigma0 * np.eye(3, dtype=complex))[None], len(omega), axis=0), [_static(omega)]
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ class Drude(MaterialModel):
         object.__setattr__(self, "tau", tau)
 
     def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
-        return _drude(self.sigma0, self.tau, omega)[:, None, None] * np.eye(3, dtype=complex), *_static(omega)
+        return _drude(self.sigma0, self.tau, omega)[:, None, None] * np.eye(3, dtype=complex), [_static(omega)]
 
 
 AxisEntry = Union[complex, Drude]
@@ -147,7 +143,7 @@ class DiagonalAnisotropic(MaterialModel):
         sigma = np.zeros((len(omega), 3, 3), dtype=complex)
         for axis, e in enumerate(self.entries):
             sigma[:, axis, axis] = _drude(e.sigma0, e.tau, omega) if isinstance(e, Drude) else e
-        return sigma, *_static(omega)
+        return sigma, [_static(omega)]
 
     @property
     def sx(self) -> AxisEntry:
@@ -271,20 +267,18 @@ class Tabulated(MaterialModel):
                 s = tensors[np.argmin(np.abs(omegas - w[:, None]), axis=1)]
             else:
                 hi = np.clip(np.searchsorted(omegas, w), 1, len(omegas) - 1)
-                with np.errstate(all="ignore"):  # points far outside the span may overflow; bad flags them
+                with np.errstate(all="ignore"):  # points far outside the span may overflow; the faults flag them
                     t = ((w - omegas[hi - 1]) / (omegas[hi] - omegas[hi - 1]))[:, None, None]
                     s = (1.0 - t) * tensors[hi - 1] + t * tensors[hi]
             exact = omegas == w[:, None]
             sigma[near == col] = np.where(exact.any(axis=1)[:, None, None], tensors[exact.argmax(axis=1)], s)
-        bad = (abs(omega) < STATIC_OMEGA_FLOOR) | (omega < self._spans[near, 0]) | (omega > self._spans[near, 1])
-        return sigma, bad, lambda i: self._require_evaluable(float(omega[i]), near[i])
+        outside = (omega < self._spans[near, 0]) | (omega > self._spans[near, 1])
+        return sigma, [_static(omega), (outside, lambda i: self._out_of_range(float(omega[i]), near[i]))]
 
-    def _require_evaluable(self, w: float, col: int) -> None:
-        require_dynamic(w)
+    def _out_of_range(self, w: float, col: int):
         lo, hi = self._spans[col].tolist()
-        if w < lo or w > hi:
-            k = self._kpoints[col].tolist()
-            raise OutOfRange(f"omega = {w!r} outside the tabulated span [{lo!r}, {hi!r}] at k = {k!r}")
+        k = self._kpoints[col].tolist()
+        raise OutOfRange(f"omega = {w!r} outside the tabulated span [{lo!r}, {hi!r}] at k = {k!r}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameMismatch, StaticFrequency
-from .minkowski import NATURAL, UnitsConfig, Wavevector4, _checked, _first
+from .minkowski import NATURAL, UnitsConfig, Wavevector4, _checked
 
 __all__ = [
     "STATIC_OMEGA_FLOOR",
@@ -50,11 +50,9 @@ def require_dynamic(omega: float) -> None:
         raise StaticFrequency(f"|omega| = {abs(omega)!r} is below the static floor {STATIC_OMEGA_FLOOR:.1e}")
 
 
-def _require_dynamic(omega: np.ndarray) -> None:
-    """require_dynamic for N frequencies; the first too close to zero raises."""
-    static = abs(omega) < STATIC_OMEGA_FLOOR
-    if static.any():
-        require_dynamic(float(omega[_first(static)]))
+def _static(omega: np.ndarray) -> tuple:
+    """require_dynamic's check for N frequencies: the points it rejects and its replay on point i."""
+    return abs(omega) < STATIC_OMEGA_FLOOR, lambda i: require_dynamic(float(omega[i]))
 
 
 def _real_quotient(z: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ the tests are relative to max-entry magnitudes with a 1e-14 absolute floor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .minkowski import (
     _transform_points,
     inverse,
 )
-from .response import STATIC_OMEGA_FLOOR, _reconstruct, reconstruct_full, require_dynamic, sigma_from_chi
+from .response import STATIC_OMEGA_FLOOR, _reconstruct, _static, reconstruct_full, require_dynamic, sigma_from_chi
 
 __all__ = [
     "RESONANCE_RTOL",
@@ -64,13 +65,16 @@ def resonance_width(omega, v_dot_k):
 
 def _require_off_resonance(omega, v_dot_k) -> None:
     """Reject a point inside the resonance band; for arrays of points, the first one inside."""
-    inside = abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k)
-    if np.any(inside):
-        i = _first(inside)
-        omega, v_dot_k = float(np.ravel(omega)[i]), float(np.ravel(v_dot_k)[i])
-        raise BoostResonance(
-            f"omega - v.k = {omega - v_dot_k!r} lies inside the resonance band at omega = {omega!r}"
-        )
+    _raise([_resonance(np.atleast_1d(omega), np.atleast_1d(v_dot_k))])
+
+
+def _resonance(omega: np.ndarray, v_dot_k: np.ndarray) -> tuple:
+    """The resonance check for N points: the points inside the band and the error of point i."""
+    def replay(i: int) -> None:
+        w, vk = float(omega[i]), float(v_dot_k[i])
+        raise BoostResonance(f"omega - v.k = {w - vk!r} lies inside the resonance band at omega = {w!r}")
+
+    return abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k), replay
 
 
 @dataclass(frozen=True)
@@ -117,44 +121,52 @@ def boost_sigma_direct(s: FrameSample, v: np.ndarray, units: UnitsConfig = NATUR
 
 def _one(kernel, sigma: np.ndarray, at: Wavevector4, *args) -> FrameSample:
     """The kernel's N = 1 call on sigma sampled at the point at."""
-    sigma_p, omega_p, k_p, bad, replay = kernel(sigma[None], np.array([at.omega]), at.kvec[None], *args)
-    if bad[0]:
-        replay(0)
+    sigma_p, omega_p, k_p, faults = kernel(sigma[None], np.array([at.omega]), at.kvec[None], *args)
+    _raise(faults, 0)
     return FrameSample(sigma_p[0], Wavevector4(omega_p[0], k_p[0]))
 
 
-def _usable(sigma, omega, k, bad=False, replay=lambda i: None) -> tuple:
-    """sigma, omega, k of a batch when no sample is bad and FrameSample accepts
-    each; otherwise the first sample that fails raises what _one raises."""
-    bad = bad | _unusable(sigma, omega, k)
-    if bad.any():
+# Faults: the checks a single-point function makes, made on N points at once and kept as data.  A list of
+# (mask, replay) pairs in the order the function makes its checks: mask (N,) flags exactly the points the
+# check rejects, and replay(i) makes the check on point i alone, raising its error.
+def _flagged(faults: list) -> np.ndarray:
+    """The points some check rejects."""
+    return functools.reduce(np.logical_or, [mask for mask, _ in faults])
+
+
+def _raise(faults: list, i: int | None = None) -> None:
+    """Raise the error of point i, by default of the first point some check
+    rejects: that of the first check in the list that rejects it."""
+    if i is None:
+        bad = _flagged(faults)
+        if not bad.any():
+            return
         i = _first(bad)
-        replay(i)
-        FrameSample(sigma[i], Wavevector4(omega[i], k[i]))
-    return sigma, omega, k
+    for mask, replay in faults:
+        if mask[i]:
+            replay(i)
 
 
-def _unusable(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The points of a batch that FrameSample(sigma, Wavevector4(omega, k)) rejects."""
-    finite = np.isfinite(sigma).all(axis=(1, 2)) & np.isfinite(omega) & np.isfinite(k).all(axis=1)
-    return ~finite | (abs(omega) < STATIC_OMEGA_FLOOR)
+def _frame_faults(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray) -> list:
+    """FrameSample(sigma, Wavevector4(omega, k))'s checks for N samples: the point's, then the tensor's."""
+    point = ~(np.isfinite(omega) & np.isfinite(k).all(axis=1)), lambda i: Wavevector4(omega[i], k[i])
+    tensor = ~np.isfinite(sigma).all(axis=(1, 2)) | (abs(omega) < STATIC_OMEGA_FLOOR)
+    return [point, (tensor, lambda i: FrameSample(sigma[i], Wavevector4(omega[i], k[i])))]
 
 
 # Kernels of boost_sigma_direct, boost_sigma_inverse and transform_sigma_oracle: sigma (N, 3, 3), omega (N,),
-# k (N, 3) in; sigma', omega', k' out, with bad, the samples that fail a check made before the FrameSample
-# result (_unusable has its own), and replay(i), those checks on sample i alone.  The boost is one boost for
-# every point or a stack of N, one per point (BoostParams of (N, 3) velocities, a stack of N matrices).
-# Stacks round as N = 1 would.
+# k (N, 3) in; sigma', omega', k' out, with the faults of the function, which end with FrameSample's checks
+# on that result.  The boost is one boost for every point or a stack of N, one per point (BoostParams of
+# (N, 3) velocities, a stack of N matrices).  Stacks round as N = 1 would.
 def _direct(sigma, omega, k, bp: BoostParams) -> tuple:
     v_dot_k = _dots(k, bp.v)
-    with np.errstate(all="ignore"):  # resonant points divide by zero; bad flags them
+    with np.errstate(all="ignore"):  # resonant points divide by zero; the faults flag them
         left = np.eye(3) - _outer(bp.v, k) / omega[:, None, None]
         right = np.eye(3) - _outer(k, bp.v) / omega[:, None, None]
         prefactor = 1.0 / (bp.gamma * (1.0 - v_dot_k / omega))
         sigma_p = prefactor[:, None, None] * (bp.lambda_hat @ left @ sigma @ right @ bp.lambda_hat)
         omega_p, k_p = _transform_points(bp.matrix(), omega, k, bp.units)
-    bad = abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k)
-    return sigma_p, omega_p, k_p, bad, lambda i: _require_off_resonance(omega[i], v_dot_k[i])
+    return sigma_p, omega_p, k_p, [_resonance(omega, v_dot_k), *_frame_faults(sigma_p, omega_p, k_p)]
 
 
 def boost_sigma_inverse(
@@ -179,19 +191,13 @@ def _inverse(sigma_p, omega, k, bp: BoostParams) -> tuple:
     """sigma' at the boosted points and the unprimed points omega, k in;
     sigma at omega, k out."""
     v_dot_k = _dots(k, bp.v)
-    with np.errstate(all="ignore"):  # static and resonant points divide by zero; bad flags them
+    with np.errstate(all="ignore"):  # static and resonant points divide by zero; the faults flag them
         # roles swapped on purpose: this inverts (1 - v k^T/omega)
         left_inv = _projector_inverse(bp.v, k, omega - v_dot_k)
         lhat_inv = bp.lambda_hat_inv
         tail = (1.0 - v_dot_k / omega)[:, None, None] * np.eye(3) + _outer(k, bp.v) / omega[:, None, None]
         sigma = _mat(bp.gamma) * (left_inv @ lhat_inv @ sigma_p @ lhat_inv @ tail)
-    bad = (abs(omega) < STATIC_OMEGA_FLOOR) | (abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k))
-
-    def replay(i: int) -> None:
-        require_dynamic(float(omega[i]))
-        _require_off_resonance(omega[i], v_dot_k[i])
-
-    return sigma, omega, k, bad, replay
+    return sigma, omega, k, [_static(omega), _resonance(omega, v_dot_k), *_frame_faults(sigma, omega, k)]
 
 
 def rotate_sigma(s: FrameSample, rot: np.ndarray) -> FrameSample:
@@ -214,13 +220,14 @@ def transform_sigma_oracle(s: FrameSample, lam: LorentzMatrix, units: UnitsConfi
 
 
 def _oracle(sigma, omega, k, lam: LorentzMatrix, units: UnitsConfig) -> tuple:
-    with np.errstate(all="ignore"):  # a vanishing omega' divides by zero; bad flags it
+    with np.errstate(all="ignore"):  # a vanishing omega' divides by zero; the faults flag it
         chi = (1j * omega)[:, None, None] * sigma
         full = _reconstruct(chi, omega, k, units)
         primed = (lam.entries @ full @ inverse(lam).entries)[:, 1:, 1:]
         omega_p, k_p = _transform_points(lam, omega, k, units)
         sigma_p = primed / (1j * omega_p)[:, None, None]
-    bad = ~(np.isfinite(full).all(axis=(1, 2)) & np.isfinite(primed).all(axis=(1, 2)))
+    result = _frame_faults(sigma_p, omega_p, k_p)
+    bad = ~(np.isfinite(full).all(axis=(1, 2)) & np.isfinite(primed).all(axis=(1, 2))) | result[0][0]
     bad |= (abs(omega_p) <= RESONANCE_RTOL * abs(omega)) | (abs(omega_p) < STATIC_OMEGA_FLOOR)
 
     def replay(i: int) -> None:
@@ -230,4 +237,4 @@ def _oracle(sigma, omega, k, lam: LorentzMatrix, units: UnitsConfig) -> tuple:
             raise BoostResonance(f"transformed frequency omega' = {float(omega_p[i])!r} is too close to zero")
         sigma_from_chi(primed[i], float(omega_p[i]))
 
-    return sigma_p, omega_p, k_p, bad, replay
+    return sigma_p, omega_p, k_p, [(bad, replay), *result]

@@ -38,8 +38,8 @@ from .ohm import (
     _require_faraday,
     _textbook,
 )
-from .response import _apply, _gauge_shift, _potential_fours, _reconstruct, _require_dynamic
-from .transform import _direct, _inverse, _oracle, _usable
+from .response import _apply, _gauge_shift, _potential_fours, _reconstruct, _static
+from .transform import _direct, _frame_faults, _inverse, _oracle, _raise
 
 __all__ = [
     "SuiteResult",
@@ -223,7 +223,7 @@ def _points(omega, k) -> None:
 # The checks made at construction of the values the single-point functions return, for N of them.
 def _response(sigma, omega, k, units: UnitsConfig) -> np.ndarray:
     """reconstruct_full(chi_from_sigma(sigma, omega), Wavevector4(omega, k)), entries (N, 4, 4)."""
-    _require_dynamic(omega)
+    _raise([_static(omega)])
     chi = (1j * omega)[:, None, None] * _finite(sigma, "conductivity")
     return _finite(_reconstruct(_finite(chi, "spatial response"), omega, k, units), "response kernel")
 
@@ -252,13 +252,13 @@ def _fields(e, b, omega, k) -> tuple:
 
 def _electric(e, omega, k) -> tuple:
     """fields_from_electric(e, Wavevector4(omega, k)): E and B (N, 3)."""
-    _require_dynamic(omega)
+    _raise([_static(omega)])
     return _fields(e, _from_electric(_finite(e, "E"), omega, k), omega, k)
 
 
 def _ohm(sigma, bp: BoostParams, e, b, omega, k) -> tuple:
     """generalized_ohm with its checks: drift (N, 3), j (N, 3), rho (N,)."""
-    _require_dynamic(omega)
+    _raise([_static(omega)])
     drift, j, rho = _generalized(_finite(sigma, "conductivity"), bp, e, b, omega, k)
     return _finite(drift, "drift_current"), _finite(j, "jvec"), rho
 
@@ -276,11 +276,11 @@ def oracle_equivalence_suite(
     """
 
     def residuals(omega, k, v, sigma):
-        _points(omega, k)
-        _usable(sigma, omega, k)
+        _raise(_frame_faults(sigma, omega, k))
         bp = BoostParams(v, units)
-        direct = _usable(*_direct(sigma, omega, k, bp))
-        oracle = _usable(*_oracle(sigma, omega, k, bp.matrix(), units))
+        *direct, direct_faults = _direct(sigma, omega, k, bp)
+        *oracle, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), units)
+        _raise(direct_faults + oracle_faults)
         return np.maximum(
             _rel_errors(direct[0] * (1.0 + fault), oracle[0]),
             _rel_errors(_fours(*direct[1:], units), _fours(*oracle[1:], units)),
@@ -293,12 +293,12 @@ def round_trip_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
     """Boost then invert recovers the original tensor."""
 
     def residuals(omega, k, v, sigma):
-        _points(omega, k)
-        _usable(sigma, omega, k)
+        _raise(_frame_faults(sigma, omega, k))
         bp = BoostParams(v, units)
-        there = _usable(*_direct(sigma, omega, k, bp))
-        back = _usable(*_inverse(there[0], omega, k, bp))
-        return _rel_errors(back[0], sigma)
+        there, _, _, direct_faults = _direct(sigma, omega, k, bp)
+        back, _, _, inverse_faults = _inverse(there, omega, k, bp)
+        _raise(direct_faults + inverse_faults)
+        return _rel_errors(back, sigma)
 
     return _suite("round_trip", n, 1e-10, _boost_draw(rng, n, units, (3, 3)), residuals)
 
@@ -379,8 +379,8 @@ def ohm_covariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = 
         full = _response(sigma, omega, k, units)
         j4 = (lam @ _current_fours(*_current(full, phi, avec, units), units)[:, :, None])[:, :, 0]
 
-        _usable(sigma, omega, k)
-        sigma_p, omega_p, k_p = _usable(*_direct(sigma, omega, k, bp))
+        sigma_p, omega_p, k_p, faults = _direct(sigma, omega, k, bp)
+        _raise(_frame_faults(sigma, omega, k) + faults)
         a4 = (lam @ _potential_fours(phi, avec, units)[:, :, None])[:, :, 0]
         phi_p, avec_p = _potential(units.c * a4[:, 0], a4[:, 1:])
         e_p, _ = _fields(*_from_potential(phi_p, avec_p, omega_p, k_p), omega_p, k_p)

@@ -410,16 +410,14 @@ def cmd_verify(args) -> int:
 
 def load_sweep_csv(source) -> list[dict]:
     """Parse sweep CSV back into records with complex sigma_prime tensors."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    text = source.read() if hasattr(source, "read") else Path(source).read_text()
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or list(reader.fieldnames) != SWEEP_COLUMNS:
         raise ParseError(f"not a sweep table: header {reader.fieldnames!r}")
     records = []
     for row in reader:
-        cells = {key: [float(row[prefix + s]) for s in _SUFFIXES[kind]] for key, prefix, kind in _SWEEP}
+        cells = {key: [_cell(row, prefix + s, reader.line_num) for s in _SUFFIXES[kind]]
+                 for key, prefix, kind in _SWEEP}
         pairs = cells["sigma_prime"]
         records.append(
             {
@@ -432,12 +430,20 @@ def load_sweep_csv(source) -> list[dict]:
     return records
 
 
+def _cell(row: dict, column: str, line: int) -> float:
+    """The cell of a sweep CSV row in the given column, as a float; a short row has None there."""
+    try:
+        return float(row[column])
+    except (TypeError, ValueError):
+        got = "the end of the row" if row[column] is None else repr(row[column])
+        raise ParseError(f"line {line}, column {column}: expected a number, got {got}") from None
+
+
 def tabulated_from_sweep(records, interpolation: str = "nearest") -> Tabulated:
-    """Turn sweep output into a tabulated model keyed at the boosted points."""
-    return Tabulated(
-        [(r["at_prime"], r["sigma_prime"]) for r in records],
-        interpolation=interpolation,
-    )
+    """Turn sweep output into a tabulated model keyed at the boosted points: a node-exact lookup, since k'
+    depends on omega for any nonzero velocity, so each row is its own k column with a single omega node, and
+    a point off a node is out of range in either interpolation mode."""
+    return Tabulated([(r["at_prime"], r["sigma_prime"]) for r in records], interpolation=interpolation)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from ohmcov import (
     DiagonalAnisotropic,
     Drude,
     FrameSample,
+    ParseError,
     Wavevector4,
     boost_sigma_direct,
     save_model,
@@ -506,6 +507,22 @@ def test_sweep_reload_and_boost_back(tmp_path, capsys):
         worst = max(worst, rel_error(back.sigma, model.evaluate(rec["at"])))
         worst = max(worst, rel_error(back.at.four(), rec["at"].four()))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (["1.0"] * 9 + ["x"] + ["0.0"] * 17, "line 3, column sp00_im: expected a number, got 'x'"),
+        (["1.0"] * 20, "line 3, column sp20_re: expected a number, got the end of the row"),
+    ],
+    ids=["not a number", "short row"],
+)
+def test_load_sweep_csv_bad_row_is_a_parse_error(row, message):
+    good = ",".join(["1.0"] * len(SWEEP_COLUMNS))
+    text = "\n".join([",".join(SWEEP_COLUMNS), good, ",".join(row), good]) + "\n"
+    with pytest.raises(ParseError) as info:
+        load_sweep_csv(io.StringIO(text))
+    assert str(info.value) == message
 
 
 # -- module entry point ------------------------------------------------------

@@ -16,9 +16,7 @@ document or the document itself inlined.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from pathlib import Path
@@ -34,13 +32,13 @@ from .errors import (
     SpeedLimit,
     StaticFrequency,
 )
-from .materials import MaterialModel, Tabulated, load_model, model_from_dict
+from .materials import MaterialModel, load_model, model_from_dict
 from .minkowski import BoostParams, UnitsConfig, Wavevector4, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
 from .transform import FrameSample, _direct, _flagged, _frame_faults, _one, _oracle, _raise, transform_sigma_oracle
 from .verify import _rel_errors, rel_error, run_all
 
-__all__ = ["main", "load_sweep_csv", "tabulated_from_sweep"]
+__all__ = ["main"]
 
 # Output layouts.  Every command builds JSON-ready records once; a layout
 # lists (record key, CSV column prefix, kind), the kind gives the CSV
@@ -402,48 +400,6 @@ def cmd_verify(args) -> int:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
-
-
-# ---------------------------------------------------------------------------
-# sweep output as a tabulated model
-
-
-def load_sweep_csv(source) -> list[dict]:
-    """Parse sweep CSV back into records with complex sigma_prime tensors."""
-    text = source.read() if hasattr(source, "read") else Path(source).read_text()
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or list(reader.fieldnames) != SWEEP_COLUMNS:
-        raise ParseError(f"not a sweep table: header {reader.fieldnames!r}")
-    records = []
-    for row in reader:
-        cells = {key: [_cell(row, prefix + s, reader.line_num) for s in _SUFFIXES[kind]]
-                 for key, prefix, kind in _SWEEP}
-        pairs = cells["sigma_prime"]
-        records.append(
-            {
-                "at": Wavevector4(cells["omega"][0], cells["k"]),
-                "at_prime": Wavevector4(cells["omega_prime"][0], cells["k_prime"]),
-                "sigma_prime": np.array([complex(re, im) for re, im in zip(pairs[::2], pairs[1::2])]).reshape(3, 3),
-                "residual": cells["residual"][0],
-            }
-        )
-    return records
-
-
-def _cell(row: dict, column: str, line: int) -> float:
-    """The cell of a sweep CSV row in the given column, as a float; a short row has None there."""
-    try:
-        return float(row[column])
-    except (TypeError, ValueError):
-        got = "the end of the row" if row[column] is None else repr(row[column])
-        raise ParseError(f"line {line}, column {column}: expected a number, got {got}") from None
-
-
-def tabulated_from_sweep(records, interpolation: str = "nearest") -> Tabulated:
-    """Turn sweep output into a tabulated model keyed at the boosted points: a node-exact lookup, since k'
-    depends on omega for any nonzero velocity, so each row is its own k column with a single omega node, and
-    a point off a node is out of range in either interpolation mode."""
-    return Tabulated([(r["at_prime"], r["sigma_prime"]) for r in records], interpolation=interpolation)
 
 
 # ---------------------------------------------------------------------------

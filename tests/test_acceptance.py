@@ -4,8 +4,6 @@ Each test exercises one advertised guarantee at its stated tolerance and
 prints a single PASS/FAIL line (run with -s to see them on success).
 """
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -31,7 +29,7 @@ from ohmcov import (
     textbook_ohm_nr,
     transform_wavevector,
 )
-from ohmcov.cli import load_sweep_csv, main, tabulated_from_sweep
+from ohmcov.cli import main
 from ohmcov.verify import (
     continuity_suite,
     gauge_invariance_suite,
@@ -175,21 +173,21 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     model = Drude(2.0, 0.5)
     model_file = tmp_path / "model.json"
     save_model(model, model_file)
-    sweep_file = tmp_path / "sweep.csv"
+    sweep_file = tmp_path / "sweep.json"
     v = np.array([0.3, 0.0, 0.0])
     swept = main([
         "sweep", "--model", str(model_file), "--velocity", "0.3,0,0",
-        "--omega", "1,2,3,4,5", "--k", "0.7,0,0", "--output", str(sweep_file),
+        "--omega", "1,2,3,4,5", "--k", "0.7,0,0", "--format", "structured", "--output", str(sweep_file),
     ])
     capsys.readouterr()
-    records = load_sweep_csv(sweep_file)
-    tab = tabulated_from_sweep(records)
+    rows = json.loads(sweep_file.read_text())["rows"]
     worst = 0.0
-    for rec in records:
-        back = boost_sigma_direct(FrameSample(tab.evaluate(rec["at_prime"]), rec["at_prime"]), -v)
-        worst = max(worst, rel_error(back.sigma, model.evaluate(rec["at"])))
-        worst = max(worst, rel_error(back.at.four(), rec["at"].four()))
+    for row in rows:  # boost each written sigma' back to the point it came from
+        at, at_prime = Wavevector4(row["omega"], row["k"]), Wavevector4(row["omega_prime"], row["k_prime"])
+        back = boost_sigma_direct(FrameSample(np.array(row["sigma_prime"]).view(complex)[..., 0], at_prime), -v)
+        worst = max(worst, rel_error(back.sigma, model.evaluate(at)))
+        worst = max(worst, rel_error(back.at.four(), at.four()))
 
-    ok = clean == 0 and clean_doc["passed"] and faulty == 1 and swept == 0 and worst < 1e-9
+    ok = clean == 0 and clean_doc["passed"] and faulty == 1 and swept == 0 and len(rows) == 5 and worst < 1e-9
     report(10, "CLI contract", ok,
            f"verify exits {clean} clean / {faulty} faulted; sweep round trip error {worst:.3e}")

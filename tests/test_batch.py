@@ -528,14 +528,15 @@ def test_sweep_blocks_match_the_point_loop(tmp_path, capsys):
     for name, model in models.items():
         model_path = tmp_path / f"{name}.json"
         materials.save_model(model, model_path)
-        out = tmp_path / f"{name}.csv"
+        out = tmp_path / f"{name}.json"
         argv = [
             "sweep", f"--model={model_path}", "--c=2", "--velocity=" + ",".join(map(repr, v.tolist())),
             "--omega=" + ",".join(map(repr, omegas.tolist())),
-            "--k=" + ";".join(",".join(map(repr, kv)) for kv in ks.tolist()), f"--output={out}",
+            "--k=" + ";".join(",".join(map(repr, kv)) for kv in ks.tolist()),
+            "--format=structured", f"--output={out}",
         ]
         assert cli.main(argv) == 0
-        rows = iter(cli.load_sweep_csv(out))
+        rows = iter(json.loads(out.read_text())["rows"])
         skipped, reasons = [], set()
         for index, (w, kv) in enumerate((w, kv) for w in omegas.tolist() for kv in ks.tolist()):
             kw = Wavevector4(w, kv)
@@ -548,8 +549,9 @@ def test_sweep_blocks_match_the_point_loop(tmp_path, capsys):
                 reasons.add((type(exc), index < cli.SWEEP_BLOCK))
                 continue
             row = next(rows)
-            assert row["at"] == kw and row["at_prime"] == direct.at
-            assert_same_bits(row["sigma_prime"], direct.sigma)
+            assert Wavevector4(row["omega"], row["k"]) == kw
+            assert Wavevector4(row["omega_prime"], row["k_prime"]) == direct.at
+            assert_same_bits(np.array(row["sigma_prime"]).view(complex)[..., 0], direct.sigma)
             assert row["residual"] == rel_error(direct.sigma, oracle.sigma)
         assert next(rows, None) is None
         assert capsys.readouterr().err.splitlines() == skipped

@@ -12,19 +12,9 @@ import numpy as np
 import pytest
 
 import ohmcov
-from ohmcov import (
-    ConstantScalar,
-    DiagonalAnisotropic,
-    Drude,
-    FrameSample,
-    ParseError,
-    Wavevector4,
-    boost_sigma_direct,
-    save_model,
-)
+from ohmcov import ConstantScalar, DiagonalAnisotropic, Drude, save_model
 from ohmcov import cli
-from ohmcov.cli import SWEEP_COLUMNS, load_sweep_csv, main, tabulated_from_sweep
-from ohmcov.verify import rel_error
+from ohmcov.cli import SWEEP_COLUMNS, main
 
 
 def run_cli(capsys, *argv):
@@ -309,6 +299,45 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
         assert word in err
 
 
+POINT = ["--omega=1", "--k=0,0,0"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["transform", "--model=m.json", "--velocity=1,2", *POINT], {},
+         "--velocity: expected 3 comma-separated numbers, got '1,2'"),
+        (["transform", "--model=m.json", "--velocity=a,0,0", *POINT], {},
+         "--velocity: could not convert string to float: 'a'"),
+        (["sweep", "--model=m.json", "--omega=1,x", "--k=0,0,0"], {},
+         "--omega: could not convert string to float: 'x'"),
+        (["transform", "--config=missing.json", *POINT], {},
+         "cannot read config 'missing.json': [Errno 2] No such file or directory: 'missing.json'"),
+        (["transform", "--config=bad.json"], {"bad.json": '{"c": 1,}'},
+         "bad.json: invalid JSON at line 1 column 9: Expecting property name enclosed in double quotes"),
+        (["transform", "--config=list.json"], {"list.json": "[1, 2]"}, "list.json: config must be an object"),
+        # the rest of this message is CPython's, so only its start is compared
+        (["transform", "--config=long.json"], {"long.json": '{"c": ' + "1" * 5001 + "}"},
+         "long.json: unreadable number: "),
+        (["transform", *POINT], {}, "no conductivity model given (use --model or the 'model' config key)"),
+        (["transform", "--model=m.json", "--omega=1,2", "--k=0,0,0"], {},
+         "this command needs exactly one omega and one k"),
+        (["ohm", "--model=m.json", *POINT], {}, "ohm needs an electric field amplitude (--E or the 'E' config key)"),
+    ],
+    ids=["velocity count", "velocity number", "omega number", "missing config", "config JSON", "config list",
+         "config overlong integer", "no model", "two omegas", "no E"],
+)
+def test_bad_input_exit_2(tmp_path, monkeypatch, capsys, argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    save_model(ConstantScalar(2.0), "m.json")
+    for name, text in files.items():
+        Path(name).write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {message}") if message.endswith(": ") else line == f"error: {message}"
+
+
 def test_config_inline_model(tmp_path, capsys):
     config = {
         "model": {"type": "constant-scalar", "sigma0": [2.0, 0.0]},
@@ -480,49 +509,6 @@ def test_verify_csv_format(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 6
     assert all(r["passed"] == "True" for r in rows)
-
-
-# -- sweep round trip through the file format --------------------------------
-
-
-def test_sweep_reload_and_boost_back(tmp_path, capsys):
-    model = Drude(2.0, 0.5)
-    path = model_path(tmp_path, model)
-    dest = tmp_path / "sweep.csv"
-    v = np.array([0.3, 0.0, 0.0])
-    code, _, err = run_cli(
-        capsys, "sweep", "--model", path, "--velocity", "0.3,0,0",
-        "--omega", "1,2,3,4,5", "--k", "0.7,0,0", "--output", str(dest),
-    )
-    assert code == 0
-    records = load_sweep_csv(dest)
-    assert len(records) == 5
-    tab = tabulated_from_sweep(records)
-
-    worst = 0.0
-    for rec in records:
-        at_prime = rec["at_prime"]
-        np.testing.assert_array_equal(tab.evaluate(at_prime), rec["sigma_prime"])
-        back = boost_sigma_direct(FrameSample(tab.evaluate(at_prime), at_prime), -v)
-        worst = max(worst, rel_error(back.sigma, model.evaluate(rec["at"])))
-        worst = max(worst, rel_error(back.at.four(), rec["at"].four()))
-    assert worst < 1e-9
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        (["1.0"] * 9 + ["x"] + ["0.0"] * 17, "line 3, column sp00_im: expected a number, got 'x'"),
-        (["1.0"] * 20, "line 3, column sp20_re: expected a number, got the end of the row"),
-    ],
-    ids=["not a number", "short row"],
-)
-def test_load_sweep_csv_bad_row_is_a_parse_error(row, message):
-    good = ",".join(["1.0"] * len(SWEEP_COLUMNS))
-    text = "\n".join([",".join(SWEEP_COLUMNS), good, ",".join(row), good]) + "\n"
-    with pytest.raises(ParseError) as info:
-        load_sweep_csv(io.StringIO(text))
-    assert str(info.value) == message
 
 
 # -- module entry point ------------------------------------------------------

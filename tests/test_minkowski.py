@@ -12,6 +12,7 @@ from ohmcov import (
     SI,
     TIME_FLIP,
     BoostParams,
+    DegenerateDecomposition,
     InvariantViolation,
     LorentzMatrix,
     NotOrthogonal,
@@ -258,3 +259,12 @@ def test_decompose_recompose_random():
         rot, v_out, parity, time_reversal = decompose(lam)
         worst = max(worst, float(np.max(np.abs(rebuild(rot, v_out, parity, time_reversal) - lam.entries))))
     assert worst < 1e-10
+
+
+def test_decompose_rejects_a_boost_at_c_in_floats():
+    # a valid Lorentz matrix whose time column rounds to |v| = c: tanh(30) is 1.0 in floats
+    entries = np.eye(4)
+    entries[:2, :2] = [[np.cosh(30.0), -np.sinh(30.0)], [-np.sinh(30.0), np.cosh(30.0)]]
+    with pytest.raises(DegenerateDecomposition) as info:
+        decompose(LorentzMatrix(entries))
+    assert str(info.value) == "time column encodes |v|/c = 1.0, too close to 1"

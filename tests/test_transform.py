@@ -231,6 +231,14 @@ def test_oracle_hits_resonance():
         transform_sigma_oracle(near, boost_matrix(np.array([0.5, 0.0, 0.0])))
 
 
+def test_oracle_rejects_a_static_boosted_frequency():
+    # omega' = gamma (omega - v.k), about 5.8e-15: outside the resonance band, under the static floor
+    s = FrameSample(np.eye(3, dtype=complex), Wavevector4(1e-13, np.array([1.9e-13, 0.0, 0.0])))
+    with pytest.raises(StaticFrequency) as info:
+        transform_sigma_oracle(s, boost_matrix(np.array([0.5, 0.0, 0.0])))
+    assert str(info.value) == "|omega| = 5.773502691896266e-15 is below the static floor 1.0e-14"
+
+
 def test_speed_limit(rng):
     s = FrameSample(rand_sigma(rng), Wavevector4(1.0, np.zeros(3)))
     with pytest.raises(SpeedLimit):

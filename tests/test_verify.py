@@ -10,7 +10,8 @@ ohm_covariance fail at every recorded seed.  The record keeps those
 failures visible instead of hiding them.
 
 The random stream itself is pinned too: the samplers and every suite's
-draws must give, bit for bit, what the reference samplers below give.
+draws must give, bit for bit, what the reference samplers below give,
+the resonance guard's redraws included.
 
 The suites evaluate their samples in blocks; the block size must not
 change a bit, a NaN residual anywhere must fail its suite, and a sample
@@ -155,13 +156,17 @@ def ref_velocity(rng, c, vmax=0.9):
     return c * rng.uniform(0.0, vmax) * ref_direction(rng)
 
 
-def ref_boost_setup(rng, c):
+def ref_boost_setup(rng, c, rtol=1e-4, redraws=None):
+    """sample_boost_setup's draws with a guard of relative width rtol; each
+    rejected omega is appended to redraws, if given."""
     while True:
         omega, k = ref_point(rng)
         v = ref_velocity(rng, c)
         v_dot_k = float(v @ k)
-        if abs(omega - v_dot_k) > 1e-4 * max(abs(omega), abs(v_dot_k)):
+        if abs(omega - v_dot_k) > rtol * max(abs(omega), abs(v_dot_k)):
             return omega, k, v
+        if redraws is not None:
+            redraws.append(omega)
 
 
 def ref_complex_vec(rng):
@@ -172,19 +177,24 @@ def ref_complex(rng):
     return complex(*rng.uniform(-1.0, 1.0, 2))
 
 
-# Each suite's values per sample, in the order its residuals take them.
+# Each suite's values per sample, in the order its residuals take them;
+# guard holds ref_boost_setup's keyword arguments.
 REFERENCE_DRAWS = {
-    "oracle_equivalence": lambda rng, c: (*ref_boost_setup(rng, c), ref_sigma(rng)),
-    "round_trip": lambda rng, c: (*ref_boost_setup(rng, c), ref_sigma(rng)),
-    "gauge_invariance": lambda rng, c: (
+    "oracle_equivalence": lambda rng, c, **guard: (*ref_boost_setup(rng, c, **guard), ref_sigma(rng)),
+    "round_trip": lambda rng, c, **guard: (*ref_boost_setup(rng, c, **guard), ref_sigma(rng)),
+    "gauge_invariance": lambda rng, c, **guard: (
         *ref_point(rng), ref_sigma(rng), ref_complex(rng), ref_complex_vec(rng), ref_complex(rng)
     ),
-    "continuity": lambda rng, c: (
+    "continuity": lambda rng, c, **guard: (
         *ref_point(rng), ref_sigma(rng), ref_complex(rng), ref_complex_vec(rng),
-        *ref_boost_setup(rng, c), ref_complex_vec(rng), ref_sigma(rng),
+        *ref_boost_setup(rng, c, **guard), ref_complex_vec(rng), ref_sigma(rng),
     ),
-    "ohm_covariance": lambda rng, c: (*ref_boost_setup(rng, c), ref_sigma(rng), ref_complex(rng), ref_complex_vec(rng)),
-    "textbook_specialization": lambda rng, c: (*ref_boost_setup(rng, c), ref_complex(rng), ref_complex_vec(rng)),
+    "ohm_covariance": lambda rng, c, **guard: (
+        *ref_boost_setup(rng, c, **guard), ref_sigma(rng), ref_complex(rng), ref_complex_vec(rng)
+    ),
+    "textbook_specialization": lambda rng, c, **guard: (
+        *ref_boost_setup(rng, c, **guard), ref_complex(rng), ref_complex_vec(rng)
+    ),
 }
 
 STREAM_DRAWS = 2000
@@ -245,6 +255,35 @@ def test_suite_draws_follow_the_reference_stream(monkeypatch, suite, seed, c):
     assert len(got) == len(want)
     assert all(same_bits(g, w) for g, w in zip(got, want))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+WIDE_GUARD = 0.3
+GUARD_DRAWS = 500
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("draws", ["sample_boost_setup", *sorted(set(REFERENCE_DRAWS) - {"gauge_invariance"})])
+def test_guard_redraws_follow_the_reference_stream(monkeypatch, draws, seed):
+    """The resonance guard's redraw keeps the reference stream too.  At its
+    width of 1e-4 the guard rejects no draw of the stream tests above, so it
+    is widened to 0.3 here, where it rejects some draws of every boost
+    sampler.  This runs at c = 1 only: in SI units the guard never fires,
+    because there |v.k| is far above omega."""
+    monkeypatch.setattr(verify, "SAMPLER_GUARD_RTOL", WIDE_GUARD)
+    units, redraws = verify.UnitsConfig(1.0), []
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if draws == "sample_boost_setup":
+        setups = (verify.sample_boost_setup(rng, units) for _ in range(GUARD_DRAWS))
+        got = [np.array(col) for col in zip(*((kw.omega, kw.kvec, v) for kw, v in setups))]
+        want = (ref_boost_setup(ref, 1.0, WIDE_GUARD, redraws) for _ in range(GUARD_DRAWS))
+    else:
+        got = drawn_columns(monkeypatch, draws, rng, GUARD_DRAWS, units)
+        want = (REFERENCE_DRAWS[draws](ref, 1.0, rtol=WIDE_GUARD, redraws=redraws) for _ in range(GUARD_DRAWS))
+    want = [np.array(col) for col in zip(*want)]
+    assert len(got) == len(want)
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert len(redraws) > 0
 
 
 def report(results):

@@ -15,6 +15,7 @@ four-vectors time-first, c = 1 by default (an SI UnitsConfig is provided).
 from .errors import (
     BoostResonance,
     DegenerateDecomposition,
+    DomainError,
     FrameMismatch,
     InvariantViolation,
     NotOrthogonal,

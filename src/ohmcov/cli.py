@@ -23,19 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BoostResonance,
-    InvariantViolation,
-    OhmcovError,
-    OutOfRange,
-    ParseError,
-    SpeedLimit,
-    StaticFrequency,
-)
+from .errors import DomainError, InvariantViolation, OhmcovError, ParseError, SpeedLimit
 from .materials import MaterialModel, load_model, model_from_dict
 from .minkowski import BoostParams, UnitsConfig, Wavevector4, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
-from .transform import FrameSample, _direct, _flagged, _frame_faults, _one, _oracle, _raise, transform_sigma_oracle
+from .transform import FrameSample, boost_sigma_direct, transform_sigma_oracle
+from .transform import _direct, _flagged, _frame_faults, _oracle, _raise  # the sweep's kernels and their faults
 from .verify import _rel_errors, rel_error, run_all
 
 __all__ = ["main"]
@@ -276,9 +269,9 @@ def cmd_transform(args) -> int:
     try:
         sample = FrameSample(model.evaluate(kw), kw)
         bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
-        direct = _one(_direct, sample.sigma, sample.at, bp)  # boost_sigma_direct on the boost built here
+        direct = boost_sigma_direct(sample, bp)
         oracle = transform_sigma_oracle(sample, bp.matrix(), units)
-    except (BoostResonance, StaticFrequency, OutOfRange) as exc:
+    except DomainError as exc:
         raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
     record = {
         **_point(kw, direct.at),
@@ -308,15 +301,16 @@ def cmd_sweep(args) -> int:
         with np.errstate(all="ignore"):  # cmd_transform's route at each point; the faults flag where it raises
             sigma, model_faults = model._evaluate(omega, k)
             sigma_p, omega_p, k_p, direct_faults = _direct(sigma, omega, k, bp)
-            sigma_o, _, _, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), units)
+            sigma_o, omega_o, k_o, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), units)
             residual = _rel_errors(sigma_p, sigma_o)
         point, tensor = _frame_faults(sigma, omega, k)  # the point is checked before the model, its tensor after
-        faults = [point, *model_faults, tensor, *direct_faults, *oracle_faults]
+        faults = [point, *model_faults, tensor, *direct_faults, *_frame_faults(sigma_p, omega_p, k_p),
+                  *oracle_faults, *_frame_faults(sigma_o, omega_o, k_o)]
         tables.append(np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual)))
         for i in np.flatnonzero(_flagged(faults)).tolist():
             try:
                 _raise(faults, i)
-            except (BoostResonance, StaticFrequency, OutOfRange) as exc:
+            except DomainError as exc:
                 skipped.append((omega[i].item(), k[i].tolist(), f"{type(exc).__name__}: {exc}"))
                 keep[start + i] = False
     for w, kv, reason in skipped:
@@ -345,7 +339,7 @@ def cmd_ohm(args) -> int:
         sigma_p = model.evaluate(kw_p)
         fields = fields_from_electric(evec, kw)
         gen = generalized_ohm(sigma_p, bp, fields)
-    except (BoostResonance, StaticFrequency, OutOfRange) as exc:
+    except DomainError as exc:
         raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
 
     s0 = complex(np.trace(sigma_p)) / 3.0
@@ -455,7 +449,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, InvariantViolation, SpeedLimit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BoostResonance, StaticFrequency, OutOfRange) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -17,11 +17,15 @@ class DegenerateDecomposition(OhmcovError):
     """Lorentz factorization is too ill conditioned to carry out."""
 
 
-class StaticFrequency(OhmcovError):
+class DomainError(OhmcovError):
+    """The point lies outside the domain where the requested law holds."""
+
+
+class StaticFrequency(DomainError):
     """Operation needs a nonzero frequency; 1/omega would blow up."""
 
 
-class BoostResonance(OhmcovError):
+class BoostResonance(DomainError):
     """The boosted frequency vanishes and the transformation law degenerates."""
 
 
@@ -29,7 +33,7 @@ class FrameMismatch(OhmcovError):
     """Operands were sampled at different (k, omega) points."""
 
 
-class OutOfRange(OhmcovError):
+class OutOfRange(DomainError):
     """Requested point lies outside a tabulated model's sampled range."""
 
 

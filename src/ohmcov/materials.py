@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InvariantViolation, OutOfRange, ParseError
 from .response import _static
-from .minkowski import Wavevector4, _checked
+from .minkowski import Wavevector4, _checked, _one_point
 from .transform import _raise
 
 __all__ = [
@@ -71,7 +71,9 @@ class MaterialModel:
     checked points and the faults of evaluate (transform._raise) at them."""
 
     def evaluate(self, kw: Wavevector4) -> np.ndarray:
-        return self.evaluate_batch(np.array([kw.omega]), kw.kvec[None])[0]
+        """sigma at the point kw, (3, 3), or at each point of a stack, (N, 3, 3)."""
+        sigma = self.evaluate_batch(np.array(kw.omega, ndmin=1), kw.kvec.reshape(-1, 3))
+        return sigma.reshape(kw.kvec.shape[:-1] + (3, 3))
 
     def evaluate_batch(self, omega, k) -> np.ndarray:
         """The (N, 3, 3) conductivity at omega (N,), k (N, 3); raises as evaluate at the first bad point."""
@@ -173,6 +175,7 @@ def _nodes_from_pairs(samples) -> _Nodes:
     for kw, sigma in samples:
         if not isinstance(kw, Wavevector4):
             kw = Wavevector4(*kw)
+        _one_point("a tabulated sample", kw.kvec.shape[:-1])
         # named by index: formatting kw for every sample would cost more than the check
         tensors.append(_checked(sigma, (3, 3), complex, f"tabulated tensor {len(tensors)}"))
         key = (kw.omega, *kw.kvec.tolist())
@@ -301,6 +304,7 @@ def check_reality(model: MaterialModel, sample_points, tol: float = REALITY_TOL)
     for kw in sample_points:
         if not isinstance(kw, Wavevector4):
             kw = Wavevector4(*kw)
+        _one_point("check_reality", kw.kvec.shape[:-1])
         dev = float(np.max(np.abs(model.evaluate(-kw) - np.conj(model.evaluate(kw)))))
         if dev > tol:
             violations.append((kw, dev))

@@ -59,13 +59,6 @@ GROUP_TOL = 1e-12
 ROTATION_TOL = 1e-10
 
 
-def _finite(a: np.ndarray, name: str) -> np.ndarray:
-    """a itself; InvariantViolation naming it when an entry is not finite."""
-    if not np.isfinite(a).all():
-        raise InvariantViolation(f"{name} entries must be finite")
-    return a
-
-
 def _checked(x, shape: tuple, dtype, name: str, stacked: bool = False) -> np.ndarray:
     """x as an array of the given shape and dtype, or when stacked also a
     stack of them along a leading axis, with finite entries;
@@ -73,7 +66,37 @@ def _checked(x, shape: tuple, dtype, name: str, stacked: bool = False) -> np.nda
     a = np.asarray(x, dtype=dtype)
     if a.shape != shape and not (stacked and a.ndim == len(shape) + 1 and a.shape[1:] == shape):
         raise InvariantViolation(f"{name} must have shape {shape}, got {a.shape}")
-    return _finite(a, name)
+    if not np.isfinite(a).all():
+        raise InvariantViolation(f"{name} entries must be finite")
+    return a
+
+
+def _stack(owner: str, *fields, at: Wavevector4 | None = None) -> list:
+    """The fields (x, shape, dtype, name) of a value or call, each _checked: all of one point, a Python number for
+    shape (), or all stacks of the same N points, as at is if given; InvariantViolation otherwise."""
+    arrays, leads = [], []
+    for x, shape, dtype, name in fields:
+        a = _checked(x, shape, dtype, name, stacked=True)
+        arrays.append(a if a.ndim else a.item())
+        leads.append((name, a.shape[: a.ndim - len(shape)]))
+    if at is not None:
+        leads.append(("at", at.kvec.shape[:-1]))
+    if len({lead for _, lead in leads}) > 1:
+        shapes = ", ".join(f"{name} {lead}" for name, lead in leads)
+        raise InvariantViolation(f"{owner}: leading shapes {shapes} disagree in N")
+    return arrays
+
+
+def _shared(owner: str, boosts: tuple, lead: tuple) -> None:
+    """InvariantViolation unless the boosts, () for one that serves every point or (N,), agree with the points' lead."""
+    if boosts not in ((), lead):
+        raise InvariantViolation(f"{owner}: leading shapes boosts {boosts}, at {lead} disagree in N")
+
+
+def _one_point(owner: str, lead: tuple) -> None:
+    """InvariantViolation for a stack, lead (N,), handed to owner, which takes one point."""
+    if lead:
+        raise InvariantViolation(f"{owner} takes one point, not a stack of {lead[0]}")
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,7 +155,8 @@ SI = UnitsConfig(c=299_792_458.0)
 
 @dataclass(frozen=True, eq=False)
 class Wavevector4:
-    """A sample point (k, omega) in reciprocal space.
+    """A sample point (k, omega) in reciprocal space, or a stack of N of
+    them: omega (N,) and kvec (N, 3).
 
     omega may be zero at the type level; operations that divide by omega
     reject such points with StaticFrequency.
@@ -142,28 +166,29 @@ class Wavevector4:
     kvec: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", float(_checked(self.omega, (), float, "omega")))
-        object.__setattr__(self, "kvec", _checked(self.kvec, (3,), float, "kvec"))
+        omega, kvec = _stack("Wavevector4", (self.omega, (), float, "omega"), (self.kvec, (3,), float, "kvec"))
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "kvec", kvec)
 
     def four(self, units: UnitsConfig = NATURAL) -> np.ndarray:
-        """Contravariant components (omega/c, kx, ky, kz)."""
-        return np.concatenate(([self.omega / units.c], self.kvec))
+        """Contravariant components (omega/c, kx, ky, kz), (4,) or (N, 4)."""
+        return _fours(self.omega, self.kvec, units)
 
     def minkowski_norm(self, units: UnitsConfig = NATURAL) -> float:
-        """-omega^2/c^2 + |k|^2; invariant under every Lorentz transform."""
-        return float(-((self.omega / units.c) ** 2) + self.kvec @ self.kvec)
+        """-omega^2/c^2 + |k|^2, or (N,) of them; invariant under every Lorentz transform."""
+        norm = -np.float_power(self.omega / units.c, 2) + _dots(self.kvec, self.kvec)
+        return norm if np.ndim(norm) else float(norm)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Wavevector4):
             return NotImplemented
-        return self.omega == other.omega and np.array_equal(self.kvec, other.kvec)
+        return self is other or (np.array_equal(self.omega, other.omega) and np.array_equal(self.kvec, other.kvec))
 
     def __neg__(self) -> "Wavevector4":
         return Wavevector4(-self.omega, -self.kvec)
 
     def __repr__(self) -> str:  # keep error messages readable
-        k = ", ".join(repr(float(x)) for x in self.kvec)
-        return f"Wavevector4(omega={self.omega!r}, kvec=[{k}])"
+        return f"Wavevector4(omega={np.asarray(self.omega).tolist()!r}, kvec={self.kvec.tolist()!r})"
 
 
 @dataclass(frozen=True)
@@ -221,8 +246,7 @@ class BoostParams:
 @dataclass(frozen=True)
 class LorentzMatrix:
     """Real 4x4 element of O(1,3), or an (N, 4, 4) stack of them;
-    membership is checked at construction.  compose, inverse and the array
-    kernels take stacks; the properties, decompose and transform_wavevector
+    membership is checked at construction.  The properties and decompose
     take one matrix."""
 
     entries: np.ndarray
@@ -247,11 +271,13 @@ class LorentzMatrix:
     @property
     def proper(self) -> bool:
         """True when det = +1 (orientation preserving)."""
+        _one_point("LorentzMatrix.proper", self.entries.shape[:-2])
         return bool(np.linalg.det(self.entries) > 0.0)
 
     @property
     def orthochronous(self) -> bool:
         """True when the transform preserves the direction of time."""
+        _one_point("LorentzMatrix.orthochronous", self.entries.shape[:-2])
         # |entry[0,0]| >= 1 for any member of O(1,3), so the sign decides.
         return bool(self.entries[0, 0] > 0.0)
 
@@ -284,24 +310,30 @@ def inverse(lam: LorentzMatrix) -> LorentzMatrix:
 
 
 def transform_wavevector(lam: LorentzMatrix, kw: Wavevector4, units: UnitsConfig = NATURAL) -> Wavevector4:
-    """Apply the 4x4 matrix to (omega/c, k).
+    """Apply the 4x4 matrix, or a stack of one per point, to (omega/c, k).
 
     For a pure boost this reduces to k' = Lhat k - gamma omega v / c^2 and
     omega' = gamma (omega - v.k).
     """
-    omega_p, k_p = _transform_points(lam, np.array([kw.omega]), kw.kvec[None], units)
-    return Wavevector4(omega_p[0], k_p[0])
+    _shared("transform_wavevector", lam.entries.shape[:-2], kw.kvec.shape[:-1])
+    return Wavevector4(*_transform_points(lam, kw.omega, kw.kvec, units))
 
 
-def _transform_points(lam: LorentzMatrix, omega: np.ndarray, kvec: np.ndarray, units: UnitsConfig):
-    """transform_wavevector for N points, by one matrix or a stack of N: omega' (N,) and k' (N, 3)."""
-    four_p = (lam.entries @ _fours(omega, kvec, units)[:, :, None])[:, :, 0]
-    return units.c * four_p[:, 0], four_p[:, 1:]
+def _transform_points(lam: LorentzMatrix, omega, kvec: np.ndarray, units: UnitsConfig):
+    """omega' and k' of the points omega () or (N,), kvec (3,) or (N, 3),
+    by one matrix or a stack of N."""
+    four_p = (lam.entries @ _fours(omega, kvec, units)[..., None])[..., 0]
+    return units.c * four_p[..., 0], four_p[..., 1:]
 
 
-def _fours(omega: np.ndarray, kvec: np.ndarray, units: UnitsConfig) -> np.ndarray:
-    """Wavevector4.four for N points: (N, 4)."""
-    return np.concatenate(((omega / units.c)[:, None], kvec), axis=1)
+def _fours(omega, kvec: np.ndarray, units: UnitsConfig) -> np.ndarray:
+    """(omega/c, k) of the points omega () or (N,), kvec (3,) or (N, 3)."""
+    return np.concatenate((np.asarray(omega / units.c)[..., None], kvec), axis=-1)
+
+
+def _boost(v, units: UnitsConfig) -> BoostParams:
+    """The BoostParams of the velocity v, or v itself when it is one."""
+    return v if isinstance(v, BoostParams) else BoostParams(v, units)
 
 
 def decompose(
@@ -316,6 +348,7 @@ def decompose(
     Raises DegenerateDecomposition when that column encodes a speed too
     close to c for the boost factor to be representable.
     """
+    _one_point("decompose", lam.entries.shape[:-2])
     m = lam.entries
     time_reversal = 1
     if m[0, 0] < 0.0:

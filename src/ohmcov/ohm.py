@@ -13,7 +13,8 @@ Three formulas of decreasing generality give the lab-frame current:
 
 Fields are amplitudes at a sample point (k, omega) with the convention
 exp(+i k.x - i omega t); the magnetic field is never free data but always
-tied to E by Faraday's law, omega B = k x E.
+tied to E by Faraday's law, omega B = k x E.  Every value and function here
+takes one point or a stack of N, and one boost or one per point.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _checked, _cross, _dots, _first
+from .minkowski import NATURAL, UnitsConfig, Wavevector4, _boost, _checked, _cross, _dots, _first, _shared, _stack
 from .response import PotentialSet, _real_quotient, require_dynamic
-from .transform import _projector_inverse, _require_off_resonance
+from .transform import projector_inverse
 
 __all__ = [
     "FieldSet",
@@ -44,7 +45,7 @@ FARADAY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FieldSet:
-    """Electric and magnetic field amplitudes at one sample point.
+    """Electric and magnetic field amplitudes at a sample point.
 
     Construction rejects a B that is inconsistent with Faraday's law;
     build instances through fields_from_potential or fields_from_electric
@@ -56,70 +57,44 @@ class FieldSet:
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        e = _checked(self.E, (3,), complex, "E")
-        b = _checked(self.B, (3,), complex, "B")
-        _require_faraday(e[None], b[None], np.array([self.at.omega]), self.at.kvec[None])
+        e, b = _stack("FieldSet", (self.E, (3,), complex, "E"), (self.B, (3,), complex, "B"), at=self.at)
+        omega, k = np.asarray(self.at.omega), self.at.kvec
+        resid = np.abs(omega[..., None] * b - _cross(k, e)).max(axis=-1)
+        scale = abs(omega) * np.abs(b).max(axis=-1) + np.abs(k).max(axis=-1) * np.abs(e).max(axis=-1)
+        off = resid > FARADAY_TOL * scale
+        if off.any():
+            i = _first(off)
+            raise InvariantViolation(
+                f"omega B != k x E (residual {np.ravel(resid)[i]:.3e} against scale {np.ravel(scale)[i]:.3e}); "
+                "derive B from the potential or from E"
+            )
         object.__setattr__(self, "E", e)
         object.__setattr__(self, "B", b)
 
 
-def _require_faraday(e: np.ndarray, b: np.ndarray, omega: np.ndarray, k: np.ndarray) -> None:
-    """FieldSet's Faraday check on N fields (N, 3) at the points omega (N,),
-    k (N, 3); the first inconsistent one raises."""
-    resid = np.abs(omega[:, None] * b - _cross(k, e)).max(axis=1)
-    scale = abs(omega) * np.abs(b).max(axis=1) + np.abs(k).max(axis=1) * np.abs(e).max(axis=1)
-    off = resid > FARADAY_TOL * scale
-    if off.any():
-        i = _first(off)
-        raise InvariantViolation(
-            f"omega B != k x E (residual {resid[i]:.3e} against scale {scale[i]:.3e}); "
-            "derive B from the potential or from E"
-        )
-
-
-# The functions below are the N = 1 calls of array kernels over N points: omega (N,), k (N, 3), fields
-# and potentials (N, 3) or (N,), conductivities (N, 3, 3), and one boost or a stack of N (BoostParams).
-# Each kernel makes the checks its function makes between its arithmetic, the first failing point raising;
-# the checks on its inputs and on the value it returns stay with the function.  Stacks round as N = 1 would.
 def fields_from_potential(pot: PotentialSet) -> FieldSet:
     """E = -i k phi + i omega A and B = i k x A."""
-    e, b = _from_potential(np.array([pot.phi]), pot.avec[None], np.array([pot.at.omega]), pot.at.kvec[None])
-    return FieldSet(E=e[0], B=b[0], at=pot.at)
-
-
-def _from_potential(phi, avec, omega, k) -> tuple:
-    return -1j * k * phi[:, None] + 1j * omega[:, None] * avec, 1j * _cross(k, avec)
+    omega, phi, k = np.asarray(pot.at.omega)[..., None], np.asarray(pot.phi)[..., None], pot.at.kvec
+    return FieldSet(E=-1j * k * phi + 1j * omega * pot.avec, B=1j * _cross(k, pot.avec), at=pot.at)
 
 
 def fields_from_electric(evec, at: Wavevector4) -> FieldSet:
     """Complete an electric amplitude with the Faraday-consistent B = k x E / omega."""
     require_dynamic(at.omega)
-    e = _checked(evec, (3,), complex, "E")
-    return FieldSet(E=e, B=_from_electric(e[None], np.array([at.omega]), at.kvec[None])[0], at=at)
-
-
-def _from_electric(e, omega, k) -> np.ndarray:
-    return _cross(k, e) / omega[:, None]
+    (e,) = _stack("fields_from_electric", (evec, (3,), complex, "E"), at=at)
+    return FieldSet(E=e, B=_cross(at.kvec, e) / np.asarray(at.omega)[..., None], at=at)
 
 
 def ohm_current(sigma: np.ndarray, evec) -> np.ndarray:
     """j = sigma E; the rest-frame form of Ohm's law."""
-    return _ohm_current(np.asarray(sigma, dtype=complex)[None], _checked(evec, (3,), complex, "E")[None])[0]
-
-
-def _ohm_current(sigma, e) -> np.ndarray:
-    return (sigma @ e[:, :, None])[:, :, 0]
+    return (np.asarray(sigma, dtype=complex) @ _checked(evec, (3,), complex, "E", stacked=True)[..., None])[..., 0]
 
 
 def induced_charge(sigma: np.ndarray, evec, kw: Wavevector4) -> complex:
     """Charge density that continuity forces on j = sigma E: rho = k.j/omega."""
     require_dynamic(kw.omega)
-    sigma, e = np.asarray(sigma, dtype=complex)[None], _checked(evec, (3,), complex, "E")[None]
-    return complex(_induced_charge(sigma, e, np.array([kw.omega]), kw.kvec[None])[0])
-
-
-def _induced_charge(sigma, e, omega, k) -> np.ndarray:
-    return _real_quotient(_dots(k, _ohm_current(sigma, e)), omega)
+    rho = _real_quotient(_dots(kw.kvec, ohm_current(sigma, evec)), kw.omega)
+    return rho if rho.ndim else complex(rho)
 
 
 @dataclass(frozen=True)
@@ -131,13 +106,11 @@ class OhmResult:
     rho: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "drift_current", _checked(self.drift_current, (3,), complex, "drift_current"))
-        object.__setattr__(self, "jvec", _checked(self.jvec, (3,), complex, "jvec"))
-        object.__setattr__(self, "rho", complex(self.rho))
-
-
-def _boost(v, units: UnitsConfig) -> BoostParams:
-    return v if isinstance(v, BoostParams) else BoostParams(v, units)
+        drift, jvec, rho = _stack("OhmResult", (self.drift_current, (3,), complex, "drift_current"),
+                                  (self.jvec, (3,), complex, "jvec"), (self.rho, (), complex, "rho"))
+        object.__setattr__(self, "drift_current", drift)
+        object.__setattr__(self, "jvec", jvec)
+        object.__setattr__(self, "rho", rho)
 
 
 def generalized_ohm(
@@ -155,23 +128,16 @@ def generalized_ohm(
     velocity, or the BoostParams already built from it.
     """
     bp = _boost(v, units)
-    w = fields.at.omega
-    require_dynamic(w)
-    sig = _checked(sigma_primed_at, (3, 3), complex, "conductivity")
-    drift, jvec, rho = _generalized(sig[None], bp, fields.E[None], fields.B[None], np.array([w]), fields.at.kvec[None])
-    return OhmResult(drift_current=drift[0], jvec=jvec[0], rho=rho[0])
-
-
-def _generalized(sigma, bp: BoostParams, e, b, omega, k) -> tuple:
+    omega, k = fields.at.omega, fields.at.kvec
+    require_dynamic(omega)
+    (sigma,) = _stack("generalized_ohm", (sigma_primed_at, (3, 3), complex, "conductivity"), at=fields.at)
+    _shared("generalized_ohm", bp.v.shape[:-1], k.shape[:-1])
     lhat_inv = bp.lambda_hat_inv
-    emf = e + _cross(bp.v, b)
-    drift = np.asarray(bp.gamma)[..., None] * (lhat_inv @ sigma @ lhat_inv @ emf[:, :, None])[:, :, 0]
-    # projector_inverse(v, k, omega), arguments swapped on purpose: this inverts (1 - v k^T/omega),
-    # which is the matrix relating j to the drift combination
-    v_dot_k = _dots(k, bp.v)
-    _require_off_resonance(omega, v_dot_k)
-    jvec = (_projector_inverse(bp.v, k, omega - v_dot_k) @ drift[:, :, None])[:, :, 0]
-    return drift, jvec, _real_quotient(_dots(k, jvec), omega)
+    emf = fields.E + _cross(bp.v, fields.B)
+    drift = np.asarray(bp.gamma)[..., None] * (lhat_inv @ sigma @ lhat_inv @ emf[..., None])[..., 0]
+    # arguments swapped on purpose: this inverts (1 - v k^T/omega), which relates j to the drift combination
+    jvec = (projector_inverse(bp.v, k, omega) @ drift[..., None])[..., 0]
+    return OhmResult(drift_current=drift, jvec=jvec, rho=_real_quotient(_dots(k, jvec), omega))
 
 
 def textbook_ohm(
@@ -184,16 +150,13 @@ def textbook_ohm(
     j - rho v = gamma sigma (E - (v/c)((v/c).E) + v x B); v is the
     velocity, or the BoostParams already built from it."""
     bp = _boost(v, units)
-    return _textbook(np.array([complex(sigma_scalar)]), bp, fields.E[None], fields.B[None])[0]
-
-
-def _textbook(s0, bp: BoostParams, e, b) -> np.ndarray:
+    _shared("textbook_ohm", bp.v.shape[:-1], fields.at.kvec.shape[:-1])
     beta = bp.v / bp.units.c
-    emf = e + _cross(bp.v, b)
-    return (bp.gamma * s0)[:, None] * (emf - beta * _dots(beta, e)[:, None])
+    emf = fields.E + _cross(bp.v, fields.B) - beta * _dots(beta, fields.E)[..., None]
+    return (bp.gamma * np.asarray(sigma_scalar, dtype=complex))[..., None] * emf
 
 
 def textbook_ohm_nr(sigma_scalar: complex, v: np.ndarray, fields: FieldSet) -> np.ndarray:
     """Nonrelativistic limit j - v rho = sigma (E + v x B)."""
-    vv = _checked(v, (3,), float, "velocity")
-    return complex(sigma_scalar) * (fields.E + _cross(vv, fields.B))
+    vv = _checked(v, (3,), float, "velocity", stacked=True)
+    return np.asarray(sigma_scalar, dtype=complex)[..., None] * (fields.E + _cross(vv, fields.B))

@@ -15,7 +15,8 @@ Fourier convention: fields go like exp(+i k.x - i omega t), so spatial
 derivatives map to +i k, time derivatives to -i omega, and the spatial
 block relates to the conductivity through chi = i omega sigma.
 
-Spatial tensors are plain complex (3, 3) ndarrays throughout.
+Spatial tensors are plain complex (3, 3) ndarrays, or (N, 3, 3) stacks of
+them at a stacked Wavevector4; constraint_residual takes one point.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameMismatch, StaticFrequency
-from .minkowski import NATURAL, UnitsConfig, Wavevector4, _checked
+from .minkowski import NATURAL, UnitsConfig, Wavevector4, _first, _mat, _one_point, _stack
 
 __all__ = [
     "STATIC_OMEGA_FLOOR",
@@ -44,10 +45,12 @@ __all__ = [
 STATIC_OMEGA_FLOOR = 1e-14
 
 
-def require_dynamic(omega: float) -> None:
-    """Reject frequencies too close to zero for 1/omega to mean anything."""
-    if abs(omega) < STATIC_OMEGA_FLOOR:
-        raise StaticFrequency(f"|omega| = {abs(omega)!r} is below the static floor {STATIC_OMEGA_FLOOR:.1e}")
+def require_dynamic(omega) -> None:
+    """Reject frequencies too close to zero for 1/omega to mean anything; of an array, the first."""
+    static = abs(omega) < STATIC_OMEGA_FLOOR
+    if static if isinstance(static, bool) else static.any():  # a plain float skips numpy's cost per call
+        w = abs(float(np.ravel(omega)[_first(static)]))
+        raise StaticFrequency(f"|omega| = {w!r} is below the static floor {STATIC_OMEGA_FLOOR:.1e}")
 
 
 def _static(omega: np.ndarray) -> tuple:
@@ -68,13 +71,16 @@ def _real_quotient(z: np.ndarray, x: np.ndarray) -> np.ndarray:
 def chi_from_sigma(sigma: np.ndarray, omega: float) -> np.ndarray:
     """Spatial response block chi = i omega sigma."""
     require_dynamic(omega)
-    return 1j * omega * _checked(sigma, (3, 3), complex, "conductivity")
+    sigma, omega = _stack("chi_from_sigma", (sigma, (3, 3), complex, "conductivity"), (omega, (), float, "omega"))
+    return _mat(1j * omega) * sigma
 
 
 def sigma_from_chi(chi_spatial: np.ndarray, omega: float) -> np.ndarray:
     """Conductivity sigma = chi / (i omega), the inverse of chi_from_sigma."""
     require_dynamic(omega)
-    return _checked(chi_spatial, (3, 3), complex, "spatial response") / (1j * omega)
+    chi, omega = _stack("sigma_from_chi", (chi_spatial, (3, 3), complex, "spatial response"),
+                        (omega, (), float, "omega"))
+    return chi / _mat(1j * omega)
 
 
 @dataclass(frozen=True)
@@ -90,32 +96,33 @@ class FullResponse4:
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _checked(self.entries, (4, 4), complex, "response kernel"))
+        (entries,) = _stack("FullResponse4", (self.entries, (4, 4), complex, "response kernel"), at=self.at)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def spatial(self) -> np.ndarray:
         """The 3x3 block chi^j_l."""
-        return self.entries[1:, 1:]
+        return self.entries[..., 1:, 1:]
 
 
 def reconstruct_full(chi_spatial: np.ndarray, kw: Wavevector4, units: UnitsConfig = NATURAL) -> FullResponse4:
     """Extend a spatial block to the full kernel fixed by current
     conservation and gauge invariance."""
     require_dynamic(kw.omega)
-    chi = _checked(chi_spatial, (3, 3), complex, "spatial response")
-    return FullResponse4(_reconstruct(chi[None], np.array([kw.omega]), kw.kvec[None], units)[0], kw)
+    (chi,) = _stack("reconstruct_full", (chi_spatial, (3, 3), complex, "spatial response"), at=kw)
+    return FullResponse4(_reconstruct(chi, np.asarray(kw.omega), kw.kvec, units), kw)
 
 
 def _reconstruct(chi: np.ndarray, omega: np.ndarray, k: np.ndarray, units: UnitsConfig) -> np.ndarray:
-    """reconstruct_full for N points: chi (N, 3, 3), omega (N,), k (N, 3)."""
-    ratio = (units.c / omega)[:, None]
-    chi_k = chi @ k[:, :, None]
-    full = np.empty((len(omega), 4, 4), dtype=complex)
+    """The entries of reconstruct_full, without its checks: chi (3, 3) at omega (), k (3,), or a stack of N."""
+    ratio = (units.c / omega)[..., None]
+    chi_k = chi @ k[..., :, None]
+    full = np.empty(chi.shape[:-2] + (4, 4), dtype=complex)
     # float_power is libm's pow, as Python's ** on a float; numpy's ** squares
-    full[:, :1, 0] = -np.float_power(ratio, 2) * (k[:, None, :] @ chi_k)[:, 0]
-    full[:, :1, 1:] = ratio[:, :, None] * (k[:, None, :] @ chi)
-    full[:, 1:, :1] = -ratio[:, :, None] * chi_k
-    full[:, 1:, 1:] = chi
+    full[..., :1, 0] = -np.float_power(ratio, 2) * (k[..., None, :] @ chi_k)[..., 0]
+    full[..., :1, 1:] = ratio[..., :, None] * (k[..., None, :] @ chi)
+    full[..., 1:, :1] = -ratio[..., :, None] * chi_k
+    full[..., 1:, 1:] = chi
     return full
 
 
@@ -123,6 +130,7 @@ def constraint_residual(full: FullResponse4, units: UnitsConfig = NATURAL) -> tu
     """Max-abs residuals of (k_mu chi^mu_nu, chi^mu_nu k^nu), normalized
     by the largest kernel entry.  Both are zero for a conserving, gauge
     invariant kernel; (0, 0) is returned for the zero kernel."""
+    _one_point("constraint_residual", full.at.kvec.shape[:-1])
     m = full.entries
     norm = float(np.max(np.abs(m)))
     if norm == 0.0:
@@ -137,24 +145,21 @@ def constraint_residual(full: FullResponse4, units: UnitsConfig = NATURAL) -> tu
 
 @dataclass(frozen=True)
 class PotentialSet:
-    """Scalar and vector potential amplitudes at one sample point."""
+    """Scalar and vector potential amplitudes at a sample point."""
 
     phi: complex
     avec: np.ndarray
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", complex(_checked(self.phi, (), complex, "scalar potential")))
-        object.__setattr__(self, "avec", _checked(self.avec, (3,), complex, "vector potential"))
+        phi, avec = _stack("PotentialSet", (self.phi, (), complex, "scalar potential"),
+                           (self.avec, (3,), complex, "vector potential"), at=self.at)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "avec", avec)
 
     def four(self, units: UnitsConfig = NATURAL) -> np.ndarray:
         """Contravariant components (phi/c, A)."""
-        return _potential_fours(np.array([self.phi]), self.avec[None], units)[0]
-
-
-def _potential_fours(phi: np.ndarray, avec: np.ndarray, units: UnitsConfig) -> np.ndarray:
-    """PotentialSet.four for N potentials: phi (N,), avec (N, 3) in, (N, 4) out."""
-    return np.concatenate((_real_quotient(phi, units.c)[:, None], avec), axis=1)
+        return np.concatenate((_real_quotient(self.phi, units.c)[..., None], self.avec), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -166,11 +171,13 @@ class FourCurrent:
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", complex(_checked(self.rho, (), complex, "charge density")))
-        object.__setattr__(self, "jvec", _checked(self.jvec, (3,), complex, "current density"))
+        rho, jvec = _stack("FourCurrent", (self.rho, (), complex, "charge density"),
+                           (self.jvec, (3,), complex, "current density"), at=self.at)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "jvec", jvec)
 
     def four(self, units: UnitsConfig = NATURAL) -> np.ndarray:
-        return np.concatenate(([units.c * self.rho], self.jvec))
+        return np.concatenate((np.asarray(units.c * self.rho)[..., None], self.jvec), axis=-1)
 
 
 def apply_response(full: FullResponse4, pot: PotentialSet, units: UnitsConfig = NATURAL) -> FourCurrent:
@@ -180,26 +187,12 @@ def apply_response(full: FullResponse4, pot: PotentialSet, units: UnitsConfig = 
     """
     if pot.at != full.at:
         raise FrameMismatch(f"potential at {pot.at!r} but kernel at {full.at!r}")
-    rho, jvec = _apply(full.entries[None], np.array([pot.phi]), pot.avec[None], units)
-    return FourCurrent(rho=rho[0], jvec=jvec[0], at=full.at)
-
-
-def _apply(full: np.ndarray, phi: np.ndarray, avec: np.ndarray, units: UnitsConfig) -> tuple:
-    """apply_response for N kernels (N, 4, 4) and the potentials at their
-    points, phi (N,) and avec (N, 3): rho (N,) and j (N, 3)."""
-    j4 = (full @ _potential_fours(phi, avec, units)[:, :, None])[:, :, 0]
-    return j4[:, 0] / units.c, j4[:, 1:]
+    j4 = (full.entries @ pot.four(units)[..., None])[..., 0]
+    return FourCurrent(rho=j4[..., 0] / units.c, jvec=j4[..., 1:], at=full.at)
 
 
 def gauge_shift(pot: PotentialSet, f: complex) -> PotentialSet:
     """Shift the potential by the gradient of f exp(+i k.x - i omega t):
-    phi -> phi + i omega f, A -> A + i k f."""
-    phi, avec = _gauge_shift(np.array([pot.phi]), pot.avec[None], np.array([pot.at.omega]), pot.at.kvec[None], f)
-    return PotentialSet(phi=phi[0], avec=avec[0], at=pot.at)
-
-
-def _gauge_shift(phi, avec, omega, k, f) -> tuple:
-    """gauge_shift for N potentials at the points omega (N,), k (N, 3), by one
-    complex f or one per point: phi (N,) and avec (N, 3)."""
+    phi -> phi + i omega f, A -> A + i k f; f is one complex or one per point."""
     f = np.asarray(f, dtype=complex)
-    return phi + 1j * omega * f, avec + 1j * k * f[..., None]
+    return PotentialSet(phi=pot.phi + 1j * pot.at.omega * f, avec=pot.avec + 1j * pot.at.kvec * f[..., None], at=pot.at)

@@ -14,8 +14,9 @@ longer route works for arbitrary O(1,3) elements and doubles as an
 independent oracle for the closed form.
 
 All transforms return the tensor together with the new sample point, so
-callers never recompute (k', omega') on their own.  Tolerances here and in
-the tests are relative to max-entry magnitudes with a 1e-14 absolute floor.
+callers never recompute (k', omega') on their own.  Samples and boosts may
+be (N, ...) stacks.  Tolerances here and in the tests are relative to
+max-entry magnitudes with a 1e-14 absolute floor.
 """
 
 from __future__ import annotations
@@ -32,12 +33,15 @@ from .minkowski import (
     LorentzMatrix,
     UnitsConfig,
     Wavevector4,
-    _checked,
+    _boost,
     _checked_rotation,
     _dots,
     _first,
     _mat,
+    _one_point,
     _outer,
+    _shared,
+    _stack,
     _transform_points,
     inverse,
 )
@@ -63,11 +67,6 @@ def resonance_width(omega, v_dot_k):
     return RESONANCE_RTOL * np.maximum(abs(omega), abs(v_dot_k))
 
 
-def _require_off_resonance(omega, v_dot_k) -> None:
-    """Reject a point inside the resonance band; for arrays of points, the first one inside."""
-    _raise([_resonance(np.atleast_1d(omega), np.atleast_1d(v_dot_k))])
-
-
 def _resonance(omega: np.ndarray, v_dot_k: np.ndarray) -> tuple:
     """The resonance check for N points: the points inside the band and the error of point i."""
     def replay(i: int) -> None:
@@ -79,7 +78,8 @@ def _resonance(omega: np.ndarray, v_dot_k: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class FrameSample:
-    """A conductivity tensor together with the point it was sampled at.
+    """A conductivity tensor together with the point it was sampled at, or
+    an (N, 3, 3) stack of them at a stack of N points.
 
     omega = 0 samples are rejected outright; nothing in this module can
     use them.
@@ -89,13 +89,13 @@ class FrameSample:
     at: Wavevector4
 
     def __post_init__(self) -> None:
-        s = _checked(self.sigma, (3, 3), complex, "conductivity")
+        (s,) = _stack("FrameSample", (self.sigma, (3, 3), complex, "conductivity"), at=self.at)
         require_dynamic(self.at.omega)
         object.__setattr__(self, "sigma", s)
 
 
 def projector_inverse(kvec: np.ndarray, v: np.ndarray, omega: float) -> np.ndarray:
-    """Closed-form inverse of (1 - k v^T / omega).
+    """Closed-form inverse of (1 - k v^T / omega), or (N, 3, 3) of them.
 
     The rank-one update identity gives
         (1 - k v^T/omega)^(-1) = 1 + k v^T / (omega - v.k),
@@ -103,8 +103,8 @@ def projector_inverse(kvec: np.ndarray, v: np.ndarray, omega: float) -> np.ndarr
     """
     k = np.asarray(kvec, dtype=float)
     vv = np.asarray(v, dtype=float)
-    v_dot_k = float(vv @ k)
-    _require_off_resonance(omega, v_dot_k)
+    v_dot_k = _dots(vv, k)
+    _raise([_resonance(np.atleast_1d(omega), np.atleast_1d(v_dot_k))])
     return _projector_inverse(k, vv, omega - v_dot_k)
 
 
@@ -115,15 +115,24 @@ def _projector_inverse(kvec: np.ndarray, v: np.ndarray, gap) -> np.ndarray:
 
 
 def boost_sigma_direct(s: FrameSample, v: np.ndarray, units: UnitsConfig = NATURAL) -> FrameSample:
-    """Boost a conductivity sample to the frame moving with velocity v."""
-    return _one(_direct, s.sigma, s.at, BoostParams(v, units))
+    """Boost a conductivity sample to the frame moving with velocity v, or
+    with the BoostParams already built from it."""
+    bp = _boost(v, units)
+    return _transformed("boost_sigma_direct", _direct, s.sigma, s.at, bp.v.shape[:-1], bp)
 
 
-def _one(kernel, sigma: np.ndarray, at: Wavevector4, *args) -> FrameSample:
-    """The kernel's N = 1 call on sigma sampled at the point at."""
-    sigma_p, omega_p, k_p, faults = kernel(sigma[None], np.array([at.omega]), at.kvec[None], *args)
-    _raise(faults, 0)
-    return FrameSample(sigma_p[0], Wavevector4(omega_p[0], k_p[0]))
+def _transformed(owner: str, kernel, sigma: np.ndarray, at: Wavevector4, boosts: tuple, *args) -> FrameSample:
+    """The kernel on sigma at the point or points at, by one boost or one per point (boosts is their leading
+    shape): its checks, then the result's, raise the error of the first point one of them rejects."""
+    stacked = at.kvec.ndim > 1
+    _shared(owner, boosts, at.kvec.shape[:-1])
+    rows = (sigma, at.omega, at.kvec) if stacked else (sigma[None], np.array([at.omega]), at.kvec[None])
+    sigma_p, omega_p, k_p, faults = kernel(*rows, *args)
+    if _flagged(faults).any():
+        _raise(faults + _frame_faults(sigma_p, omega_p, k_p))
+    if not stacked:
+        sigma_p, omega_p, k_p = sigma_p[0], omega_p[0], k_p[0]
+    return FrameSample(sigma_p, Wavevector4(omega_p, k_p))
 
 
 # Faults: the checks a single-point function makes, made on N points at once and kept as data.  A list of
@@ -155,8 +164,8 @@ def _frame_faults(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray) -> list:
 
 
 # Kernels of boost_sigma_direct, boost_sigma_inverse and transform_sigma_oracle: sigma (N, 3, 3), omega (N,),
-# k (N, 3) in; sigma', omega', k' out, with the faults of the function, which end with FrameSample's checks
-# on that result.  The boost is one boost for every point or a stack of N, one per point (BoostParams of
+# k (N, 3) in; sigma', omega', k' out, with the faults of the function up to its result, whose own checks
+# _frame_faults makes.  The boost is one boost for every point or a stack of N, one per point (BoostParams of
 # (N, 3) velocities, a stack of N matrices).  Stacks round as N = 1 would.
 def _direct(sigma, omega, k, bp: BoostParams) -> tuple:
     v_dot_k = _dots(k, bp.v)
@@ -166,7 +175,7 @@ def _direct(sigma, omega, k, bp: BoostParams) -> tuple:
         prefactor = 1.0 / (bp.gamma * (1.0 - v_dot_k / omega))
         sigma_p = prefactor[:, None, None] * (bp.lambda_hat @ left @ sigma @ right @ bp.lambda_hat)
         omega_p, k_p = _transform_points(bp.matrix(), omega, k, bp.units)
-    return sigma_p, omega_p, k_p, [_resonance(omega, v_dot_k), *_frame_faults(sigma_p, omega_p, k_p)]
+    return sigma_p, omega_p, k_p, [_resonance(omega, v_dot_k)]
 
 
 def boost_sigma_inverse(
@@ -177,14 +186,17 @@ def boost_sigma_inverse(
 ) -> FrameSample:
     """Recover the unprimed conductivity from the boosted one.
 
-    kw_unprimed is the sample point whose boost by v lands on
-    s_primed.at; inverting the direct law gives
+    kw_unprimed is the sample point whose boost by v, or by the BoostParams
+    already built from it, lands on s_primed.at; inverting the direct law
+    gives
 
         sigma(k, omega) = gamma (1 - v k^T/omega)^(-1) Lhat^(-1)
                           sigma'(k', omega') Lhat^(-1)
                           [(1 - v.k/omega) 1 + k v^T/omega].
     """
-    return _one(_inverse, s_primed.sigma, kw_unprimed, BoostParams(v, units))
+    bp = _boost(v, units)
+    _stack("boost_sigma_inverse", (s_primed.sigma, (3, 3), complex, "s_primed"), at=kw_unprimed)
+    return _transformed("boost_sigma_inverse", _inverse, s_primed.sigma, kw_unprimed, bp.v.shape[:-1], bp)
 
 
 def _inverse(sigma_p, omega, k, bp: BoostParams) -> tuple:
@@ -197,11 +209,12 @@ def _inverse(sigma_p, omega, k, bp: BoostParams) -> tuple:
         lhat_inv = bp.lambda_hat_inv
         tail = (1.0 - v_dot_k / omega)[:, None, None] * np.eye(3) + _outer(k, bp.v) / omega[:, None, None]
         sigma = _mat(bp.gamma) * (left_inv @ lhat_inv @ sigma_p @ lhat_inv @ tail)
-    return sigma, omega, k, [_static(omega), _resonance(omega, v_dot_k), *_frame_faults(sigma, omega, k)]
+    return sigma, omega, k, [_static(omega), _resonance(omega, v_dot_k)]
 
 
 def rotate_sigma(s: FrameSample, rot: np.ndarray) -> FrameSample:
     """Rotate a conductivity sample: sigma'(R k, omega) = R sigma R^(-1)."""
+    _one_point("rotate_sigma", s.at.kvec.shape[:-1])
     r = _checked_rotation(rot)
     sigma_p = r @ s.sigma @ r.T
     return FrameSample(sigma_p, Wavevector4(s.at.omega, r @ s.at.kvec))
@@ -214,9 +227,9 @@ def transform_sigma_oracle(s: FrameSample, lam: LorentzMatrix, units: UnitsConfi
     (k, omega), conjugate by lam, then divide the transformed spatial
     block by i omega'.  Works for any O(1,3) element, including parity
     and time reversal, at the cost of more arithmetic than the closed
-    form for pure boosts.
+    form for pure boosts.  lam may be a stack of one matrix per point.
     """
-    return _one(_oracle, s.sigma, s.at, lam, units)
+    return _transformed("transform_sigma_oracle", _oracle, s.sigma, s.at, lam.entries.shape[:-2], lam, units)
 
 
 def _oracle(sigma, omega, k, lam: LorentzMatrix, units: UnitsConfig) -> tuple:
@@ -226,8 +239,8 @@ def _oracle(sigma, omega, k, lam: LorentzMatrix, units: UnitsConfig) -> tuple:
         primed = (lam.entries @ full @ inverse(lam).entries)[:, 1:, 1:]
         omega_p, k_p = _transform_points(lam, omega, k, units)
         sigma_p = primed / (1j * omega_p)[:, None, None]
-    result = _frame_faults(sigma_p, omega_p, k_p)
-    bad = ~(np.isfinite(full).all(axis=(1, 2)) & np.isfinite(primed).all(axis=(1, 2))) | result[0][0]
+    bad = ~(np.isfinite(full).all(axis=(1, 2)) & np.isfinite(primed).all(axis=(1, 2)) & np.isfinite(omega_p))
+    bad |= ~np.isfinite(k_p).all(axis=1)
     bad |= (abs(omega_p) <= RESONANCE_RTOL * abs(omega)) | (abs(omega_p) < STATIC_OMEGA_FLOOR)
 
     def replay(i: int) -> None:
@@ -237,4 +250,4 @@ def _oracle(sigma, omega, k, lam: LorentzMatrix, units: UnitsConfig) -> tuple:
             raise BoostResonance(f"transformed frequency omega' = {float(omega_p[i])!r} is too close to zero")
         sigma_from_chi(primed[i], float(omega_p[i]))
 
-    return sigma_p, omega_p, k_p, [(bad, replay), *result]
+    return sigma_p, omega_p, k_p, [(bad, replay)]

@@ -7,16 +7,15 @@ uniform on [-1, 1]; omega is uniform on [0.1, 10]; |k| is uniform on
 close to the boost resonance omega = v.k are resampled.
 
 Each suite draws its samples one at a time from the generator, in a fixed
-order per sample, and evaluates them BLOCK at a time through the array
-kernels with one boost per sample.  Each run of consecutive uniforms in the
-stream is one generator call, mapped with rng.uniform's arithmetic, while
-normals and the resonance guard stay per sample; so the stream is the one
-the public samplers draw.  The kernels round each sample as the
-single-point functions do, so a seed gives the same residuals at any block
-size.  Every check a single-point function or value makes runs on every
-sample, the points' included; should one fail, the block is evaluated again
-sample by sample, so the first failing sample in draw order raises that
-check's error.
+order per sample, and evaluates them BLOCK at a time through the public
+functions, as stacks with one boost per sample.  Each run of consecutive
+uniforms in the stream is one generator call, mapped with rng.uniform's
+arithmetic, while normals and the resonance guard stay per sample; so the
+stream is the one the public samplers draw.  A stack rounds each sample as
+a single-point call does, so a seed gives the same residuals at any block
+size.  Every check runs on every sample; should one fail, the block is
+evaluated again sample by sample, so the first failing sample in draw order
+raises that check's error.
 """
 
 from __future__ import annotations
@@ -28,18 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OhmcovError
-from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _checked, _dots, _finite, _fours
-from .ohm import (
-    _from_electric,
-    _from_potential,
-    _generalized,
-    _induced_charge,
-    _ohm_current,
-    _require_faraday,
-    _textbook,
-)
-from .response import _apply, _gauge_shift, _potential_fours, _reconstruct, _static
-from .transform import _direct, _frame_faults, _inverse, _oracle, _raise
+from .minkowski import NATURAL, BoostParams, UnitsConfig, Wavevector4, _dots
+from .ohm import fields_from_electric, fields_from_potential, generalized_ohm, induced_charge, ohm_current, textbook_ohm
+from .response import FourCurrent, PotentialSet, apply_response, chi_from_sigma, gauge_shift, reconstruct_full
+from .transform import FrameSample, boost_sigma_direct, boost_sigma_inverse, transform_sigma_oracle
 
 __all__ = [
     "SuiteResult",
@@ -214,55 +205,6 @@ def _boost_draw(rng: np.random.Generator, n: int, units: UnitsConfig, *shapes: t
 _POTENTIAL = ((3, 3), (), (3,))
 
 
-def _points(omega, k) -> None:
-    """Wavevector4's checks for N points: omega (N,), k (N, 3)."""
-    _checked(omega, (), float, "omega", stacked=True)
-    _checked(k, (3,), float, "kvec", stacked=True)
-
-
-# The checks made at construction of the values the single-point functions return, for N of them.
-def _response(sigma, omega, k, units: UnitsConfig) -> np.ndarray:
-    """reconstruct_full(chi_from_sigma(sigma, omega), Wavevector4(omega, k)), entries (N, 4, 4)."""
-    _raise([_static(omega)])
-    chi = (1j * omega)[:, None, None] * _finite(sigma, "conductivity")
-    return _finite(_reconstruct(_finite(chi, "spatial response"), omega, k, units), "response kernel")
-
-
-def _potential(phi, avec) -> tuple:
-    """PotentialSet's checks: phi (N,), avec (N, 3)."""
-    return _finite(phi, "scalar potential"), _finite(avec, "vector potential")
-
-
-def _current(full, phi, avec, units: UnitsConfig) -> tuple:
-    """apply_response(full, pot, units) with FourCurrent's checks: rho (N,), j (N, 3)."""
-    rho, j = _apply(full, phi, avec, units)
-    return _finite(rho, "charge density"), _finite(j, "current density")
-
-
-def _current_fours(rho, j, units: UnitsConfig) -> np.ndarray:
-    """FourCurrent.four for N currents: (N, 4)."""
-    return np.concatenate(((units.c * rho)[:, None], j), axis=1)
-
-
-def _fields(e, b, omega, k) -> tuple:
-    """FieldSet's checks: E and B (N, 3) at omega (N,), k (N, 3)."""
-    _require_faraday(_finite(e, "E"), _finite(b, "B"), omega, k)
-    return e, b
-
-
-def _electric(e, omega, k) -> tuple:
-    """fields_from_electric(e, Wavevector4(omega, k)): E and B (N, 3)."""
-    _raise([_static(omega)])
-    return _fields(e, _from_electric(_finite(e, "E"), omega, k), omega, k)
-
-
-def _ohm(sigma, bp: BoostParams, e, b, omega, k) -> tuple:
-    """generalized_ohm with its checks: drift (N, 3), j (N, 3), rho (N,)."""
-    _raise([_static(omega)])
-    drift, j, rho = _generalized(_finite(sigma, "conductivity"), bp, e, b, omega, k)
-    return _finite(drift, "drift_current"), _finite(j, "jvec"), rho
-
-
 def oracle_equivalence_suite(
     rng: np.random.Generator,
     n: int,
@@ -276,14 +218,13 @@ def oracle_equivalence_suite(
     """
 
     def residuals(omega, k, v, sigma):
-        _raise(_frame_faults(sigma, omega, k))
+        s = FrameSample(sigma, Wavevector4(omega, k))
         bp = BoostParams(v, units)
-        *direct, direct_faults = _direct(sigma, omega, k, bp)
-        *oracle, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), units)
-        _raise(direct_faults + oracle_faults)
+        direct = boost_sigma_direct(s, bp)
+        oracle = transform_sigma_oracle(s, bp.matrix(), units)
         return np.maximum(
-            _rel_errors(direct[0] * (1.0 + fault), oracle[0]),
-            _rel_errors(_fours(*direct[1:], units), _fours(*oracle[1:], units)),
+            _rel_errors(direct.sigma * (1.0 + fault), oracle.sigma),
+            _rel_errors(direct.at.four(units), oracle.at.four(units)),
         )
 
     return _suite("oracle_equivalence", n, 1e-10, _boost_draw(rng, n, units, (3, 3)), residuals)
@@ -293,12 +234,10 @@ def round_trip_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
     """Boost then invert recovers the original tensor."""
 
     def residuals(omega, k, v, sigma):
-        _raise(_frame_faults(sigma, omega, k))
+        s = FrameSample(sigma, Wavevector4(omega, k))
         bp = BoostParams(v, units)
-        there, _, _, direct_faults = _direct(sigma, omega, k, bp)
-        back, _, _, inverse_faults = _inverse(there, omega, k, bp)
-        _raise(direct_faults + inverse_faults)
-        return _rel_errors(back, sigma)
+        back = boost_sigma_inverse(boost_sigma_direct(s, bp), bp, s.at)
+        return _rel_errors(back.sigma, sigma)
 
     return _suite("round_trip", n, 1e-10, _boost_draw(rng, n, units, (3, 3)), residuals)
 
@@ -309,12 +248,12 @@ def gauge_invariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig 
     draw = _draw(rng, n, lambda lead, m: (*_point(rng, lead), rng.random(m)), *_POTENTIAL, ())
 
     def residuals(omega, k, sigma, phi, avec, f):
-        _points(omega, k)
-        full = _response(sigma, omega, k, units)
-        _potential(phi, avec)
-        j0 = _current_fours(*_current(full, phi, avec, units), units)
-        j1 = _current_fours(*_current(full, *_potential(*_gauge_shift(phi, avec, omega, k, f)), units), units)
-        denom = np.abs(j0).max(axis=1) + np.abs(_potential_fours(phi, avec, units)).max(axis=1) + ABS_FLOOR
+        at = Wavevector4(omega, k)
+        full = reconstruct_full(chi_from_sigma(sigma, omega), at, units)
+        pot = PotentialSet(phi, avec, at)
+        j0 = apply_response(full, pot, units).four(units)
+        j1 = apply_response(full, gauge_shift(pot, f), units).four(units)
+        denom = np.abs(j0).max(axis=1) + np.abs(pot.four(units)).max(axis=1) + ABS_FLOOR
         return np.abs(j1 - j0).max(axis=1) / denom
 
     return _suite("gauge_invariance", n, 1e-13, draw, residuals)
@@ -348,15 +287,14 @@ def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
         return omega, k, *_complexes(u, *_POTENTIAL), *rest
 
     def residuals(omega, k, sigma, phi, avec, omega2, k2, v, e, sigma2):
-        _points(omega, k)
-        _points(omega2, k2)
-        full = _response(sigma, omega, k, units)
-        _potential(phi, avec)
-        worst = _continuity_residual(omega, k, *_current(full, phi, avec, units))
+        at, at2 = Wavevector4(omega, k), Wavevector4(omega2, k2)
+        full = reconstruct_full(chi_from_sigma(sigma, omega), at, units)
+        current = apply_response(full, PotentialSet(phi, avec, at), units)
+        worst = _continuity_residual(omega, k, current.rho, current.jvec)
 
-        e, b = _electric(e, omega2, k2)
-        _, j, rho = _ohm(sigma2, BoostParams(v, units), e, b, omega2, k2)
-        return np.maximum(worst, _continuity_residual(omega2, k2, rho, j))
+        fields = fields_from_electric(e, at2)
+        moving = generalized_ohm(sigma2, BoostParams(v, units), fields, units)
+        return np.maximum(worst, _continuity_residual(omega2, k2, moving.rho, moving.jvec))
 
     return _suite("continuity", n, 1e-12, columns, residuals)
 
@@ -371,22 +309,19 @@ def ohm_covariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = 
     """
 
     def residuals(omega, k, v, sigma, phi, avec):
-        _points(omega, k)
-        _potential(phi, avec)
+        at = Wavevector4(omega, k)
+        pot = PotentialSet(phi, avec, at)
         bp = BoostParams(v, units)
         lam = bp.matrix().entries
 
-        full = _response(sigma, omega, k, units)
-        j4 = (lam @ _current_fours(*_current(full, phi, avec, units), units)[:, :, None])[:, :, 0]
+        full = reconstruct_full(chi_from_sigma(sigma, omega), at, units)
+        j4 = (lam @ apply_response(full, pot, units).four(units)[:, :, None])[:, :, 0]
 
-        sigma_p, omega_p, k_p, faults = _direct(sigma, omega, k, bp)
-        _raise(_frame_faults(sigma, omega, k) + faults)
-        a4 = (lam @ _potential_fours(phi, avec, units)[:, :, None])[:, :, 0]
-        phi_p, avec_p = _potential(units.c * a4[:, 0], a4[:, 1:])
-        e_p, _ = _fields(*_from_potential(phi_p, avec_p, omega_p, k_p), omega_p, k_p)
-        j_p = _ohm_current(sigma_p, e_p)
-        rho_p = _induced_charge(sigma_p, e_p, omega_p, k_p)
-        return _rel_errors(j4, _current_fours(rho_p, j_p, units))
+        moved = boost_sigma_direct(FrameSample(sigma, at), bp)
+        a4 = (lam @ pot.four(units)[:, :, None])[:, :, 0]
+        e_p = fields_from_potential(PotentialSet(units.c * a4[:, 0], a4[:, 1:], moved.at)).E
+        rho_p = induced_charge(moved.sigma, e_p, moved.at)
+        return _rel_errors(j4, FourCurrent(rho_p, ohm_current(moved.sigma, e_p), moved.at).four(units))
 
     return _suite("ohm_covariance", n, 1e-10, _boost_draw(rng, n, units, *_POTENTIAL), residuals)
 
@@ -396,11 +331,10 @@ def textbook_specialization_suite(rng: np.random.Generator, n: int, units: Units
     textbook expression."""
 
     def residuals(omega, k, v, s0, e):
-        _points(omega, k)
-        e, b = _electric(e, omega, k)
+        fields = fields_from_electric(e, Wavevector4(omega, k))
         bp = BoostParams(v, units)
-        drift, _, _ = _ohm(s0[:, None, None] * np.eye(3), bp, e, b, omega, k)
-        return _rel_errors(drift, _textbook(s0, bp, e, b))
+        drift = generalized_ohm(s0[:, None, None] * np.eye(3), bp, fields, units).drift_current
+        return _rel_errors(drift, textbook_ohm(s0, bp, fields, units))
 
     return _suite("textbook_specialization", n, 1e-12, _boost_draw(rng, n, units, (), (3,)), residuals)
 

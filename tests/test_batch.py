@@ -1,14 +1,15 @@
-"""The array kernels against the single-point API they implement.
+"""Stacks and the sweep's array kernels against the single-point API.
 
-Every scalar entry point is the N = 1 call of an array kernel, so a batch
-of N points must reproduce N separate calls bit for bit, fail at the
-same points, and raise the same first error.  The kernels must also round
+Every public function takes one point or a stack of N, so a stack must
+reproduce N separate calls bit for bit and raise the first one's error;
+the sweep's kernels must also fail at the same points.  Both must round
 exactly as the single-point formulas they replaced, which fixed the
 recorded CLI outputs.  The sweep runs the kernels in blocks and must match
 the point-by-point loop across block edges.
 """
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -23,10 +24,13 @@ from ohmcov import (
     DiagonalAnisotropic,
     Drude,
     FieldSet,
+    FourCurrent,
     FrameSample,
+    FullResponse4,
     InvariantViolation,
     LorentzMatrix,
     OhmcovError,
+    OhmResult,
     OutOfRange,
     PotentialSet,
     SpeedLimit,
@@ -38,7 +42,11 @@ from ohmcov import (
     boost_matrix,
     boost_sigma_direct,
     boost_sigma_inverse,
+    check_reality,
+    chi_from_sigma,
     compose,
+    constraint_residual,
+    decompose,
     fields_from_electric,
     fields_from_potential,
     gauge_shift,
@@ -46,14 +54,19 @@ from ohmcov import (
     induced_charge,
     inverse,
     ohm_current,
+    projector_inverse,
     reconstruct_full,
+    rotate_sigma,
+    sigma_from_chi,
     textbook_ohm,
+    textbook_ohm_nr,
     transform_sigma_oracle,
+    transform_wavevector,
 )
-from ohmcov import cli, materials, ohm
+from ohmcov import cli, materials
 from ohmcov.verify import rel_error
-from ohmcov.response import _apply, _gauge_shift, _potential_fours, _reconstruct
-from ohmcov.transform import _direct, _flagged, _inverse, _oracle, _raise
+from ohmcov.response import _reconstruct
+from ohmcov.transform import _direct, _flagged, _frame_faults, _inverse, _oracle, _raise
 
 from conftest import rand_unit
 
@@ -84,10 +97,14 @@ def random_sigma(rng, n=N):
     return rng.uniform(-1.0, 1.0, (n, 3, 3)) + 1j * rng.uniform(-1.0, 1.0, (n, 3, 3))
 
 
-def check_against_single_points(result, singles):
+def check_against_single_points(result, singles, stacked=None):
     """result is a kernel's (sigma', omega', k', faults); singles[i] is
-    the FrameSample the single-point call returned, or the exception it raised."""
+    the FrameSample the single-point call returned, or the exception it
+    raised.  stacked(idx), if given, is the public function on the stack of
+    the points idx: the good points give the single calls' bits, all of
+    them the first error."""
     sigma_p, omega_p, k_p, faults = result
+    faults = faults + _frame_faults(sigma_p, omega_p, k_p)  # the result's checks, as the sweep adds them
     bad = _flagged(faults)
     errors = [s for s in singles if isinstance(s, Exception)]
     assert 0 < len(errors) < len(singles)
@@ -100,6 +117,15 @@ def check_against_single_points(result, singles):
     with pytest.raises(type(errors[0])) as info:
         _raise(faults)
     assert str(info.value) == str(errors[0])
+    if stacked is not None:
+        good = stacked(np.flatnonzero(~bad))
+        for j, i in enumerate(np.flatnonzero(~bad)):
+            assert_same_bits(good.sigma[j], singles[i].sigma)
+            assert_same_bits(good.at.omega[j], np.float64(singles[i].at.omega))
+            assert_same_bits(good.at.kvec[j], singles[i].at.kvec)
+        with pytest.raises(type(errors[0])) as info:
+            stacked(np.arange(len(singles)))
+        assert str(info.value) == str(errors[0])
 
 
 def single_calls(fn, sigma, omega, k):
@@ -158,9 +184,17 @@ def test_boost_kernels_take_one_boost_per_point(rng, c, per_point, name):
     omega, k = points_near_resonance(rng, -v if parity else v, c)
     sigma = random_sigma(rng)
     bp = BoostParams(v, units)
+
+    def boost(idx):
+        return BoostParams(v[idx] if per_point else v, units)
+
+    def sample(idx):
+        return FrameSample(sigma[idx], Wavevector4(omega[idx], k[idx]))
+
     if name == "direct":
         result = _direct(sigma, omega, k, bp)
         singles = single_calls(lambda s, i: boost_sigma_direct(s, vs[i], units), sigma, omega, k)
+        stacked = lambda idx: boost_sigma_direct(sample(idx), boost(idx))  # noqa: E731
     elif name == "inverse":
         omega[[5, 40]] = 0.0  # the inverse checks its unprimed points; the others leave that to FrameSample
         result = _inverse(sigma, omega, k, bp)
@@ -172,6 +206,10 @@ def test_boost_kernels_take_one_boost_per_point(rng, c, per_point, name):
                 singles.append(boost_sigma_inverse(FrameSample(sigma[i], at), vs[i], kw, units))
             except (BoostResonance, StaticFrequency) as exc:
                 singles.append(exc)
+
+        def stacked(idx):
+            primed = FrameSample(sigma[idx], Wavevector4(np.ones(len(idx)), np.zeros((len(idx), 3))))
+            return boost_sigma_inverse(primed, boost(idx), Wavevector4(omega[idx], k[idx]))
     else:
         lam = compose(bp.matrix(), PARITY_FLIP) if parity else bp.matrix()
         assert lam.entries.shape == ((N, 4, 4) if per_point else (4, 4))  # no per-point matrix for one boost
@@ -181,8 +219,12 @@ def test_boost_kernels_take_one_boost_per_point(rng, c, per_point, name):
             lam_i = boost_matrix(vs[i], units)
             return transform_sigma_oracle(s, compose(lam_i, PARITY_FLIP) if parity else lam_i, units)
 
+        def stacked(idx):
+            lam = boost(idx).matrix()
+            return transform_sigma_oracle(sample(idx), compose(lam, PARITY_FLIP) if parity else lam, units)
+
         singles = single_calls(single, sigma, omega, k)
-    check_against_single_points(result, singles)
+    check_against_single_points(result, singles, stacked)
 
 
 def test_boost_stack_is_n_boosts(rng):
@@ -219,10 +261,10 @@ def test_boost_stack_is_n_boosts(rng):
 
 
 def kernel_is_single_calls(kernel, single, n=N):
-    """kernel(idx) runs an array kernel on the points idx and returns a tuple
-    of per-point arrays; single(i) runs the single-point function on point
-    i and returns the same values, or raises.  The kernel must give the
-    bits of the single calls where they pass, and raise the first error."""
+    """kernel(idx) runs the public functions on the stack of the points idx
+    and returns a tuple of per-point arrays; single(i) runs them on point i
+    and returns the same values, or raises.  The stack must give the bits
+    of the single calls where they pass, and raise the first error."""
     singles = []
     for i in range(n):
         try:
@@ -249,20 +291,17 @@ def test_response_kernels_are_n_single_calls(rng, c):
     k = rng.uniform(-5.0, 5.0, (N, 3))
     chi = random_sigma(rng)
     phi, avec, f = rng.normal(size=N) + 1j * rng.normal(size=N), random_sigma(rng)[:, 0], random_sigma(rng)[:, 0, 0]
-    full = _reconstruct(chi, omega, k, units)
 
-    def single(i):
+    def calls(i):  # i one index, or an array of them for a stack
         kw = Wavevector4(omega[i], k[i])
         pot = PotentialSet(phi[i], avec[i], kw)
-        cur = apply_response(reconstruct_full(chi[i], kw, units), pot, units)
+        full = reconstruct_full(chi[i], kw, units)
+        cur = apply_response(full, pot, units)
         shifted = gauge_shift(pot, f[i])
-        return cur.rho, cur.jvec, shifted.phi, shifted.avec, pot.four(units)
+        return (full.entries, cur.rho, cur.jvec, shifted.phi, shifted.avec, pot.four(units), cur.four(units),
+                chi_from_sigma(chi[i], omega[i]), sigma_from_chi(chi[i], omega[i]))
 
-    def kernel(idx):
-        shifted = _gauge_shift(phi[idx], avec[idx], omega[idx], k[idx], f[idx])
-        return (*_apply(full[idx], phi[idx], avec[idx], units), *shifted, _potential_fours(phi[idx], avec[idx], units))
-
-    assert kernel_is_single_calls(kernel, single).all()
+    assert kernel_is_single_calls(calls, calls).all()
 
 
 @pytest.mark.parametrize("c", [1.0, 299_792_458.0])
@@ -277,23 +316,17 @@ def test_ohm_kernels_are_n_single_calls(rng, c, per_point):
     sigma, e, phi = random_sigma(rng), random_sigma(rng)[:, 0], rng.normal(size=N) + 1j * rng.normal(size=N)
     s0 = sigma[:, 0, 0]
 
-    def single(i):
+    def calls(i, v):  # i one index, or an array of them for a stack
         kw = Wavevector4(omega[i], k[i])
         fields = fields_from_electric(e[i], kw)
         potential = fields_from_potential(PotentialSet(phi[i], e[i], kw))
-        gen = generalized_ohm(sigma[i], vs[i], fields, units)
+        gen = generalized_ohm(sigma[i], v, fields, units)
+        moved = transform_wavevector(boost_matrix(v, units), kw, units)
         return (fields.B, potential.E, potential.B, ohm_current(sigma[i], e[i]), induced_charge(sigma[i], e[i], kw),
-                textbook_ohm(s0[i], vs[i], fields, units), gen.drift_current, gen.jvec, gen.rho)
+                textbook_ohm(s0[i], v, fields, units), gen.drift_current, gen.jvec, gen.rho,
+                textbook_ohm_nr(s0[i], v, fields), projector_inverse(k[i], v, omega[i]), moved.omega, moved.kvec)
 
-    def kernel(idx):
-        w, kk, ee, ss = omega[idx], k[idx], e[idx], sigma[idx]
-        bpi = BoostParams(v[idx] if per_point else v, units)
-        b = ohm._from_electric(ee, w, kk)
-        return (b, *ohm._from_potential(phi[idx], ee, w, kk), ohm._ohm_current(ss, ee),
-                ohm._induced_charge(ss, ee, w, kk), ohm._textbook(s0[idx], bpi, ee, b),
-                *ohm._generalized(ss, bpi, ee, b, w, kk))
-
-    ok = kernel_is_single_calls(kernel, single)
+    ok = kernel_is_single_calls(lambda idx: calls(idx, v[idx] if per_point else v), lambda i: calls(i, vs[i]))
     assert 0 < ok.sum() < N
 
 
@@ -302,14 +335,109 @@ def test_faraday_check_is_per_point(rng):
     omega = rng.uniform(0.5, 5.0, N)
     k = rng.uniform(-2.0, 2.0, (N, 3))
     e = random_sigma(rng)[:, 0]
-    b = ohm._from_electric(e, omega, k)
-    ohm._require_faraday(e, b, omega, k)
+    b = fields_from_electric(e, Wavevector4(omega, k)).B.copy()
     b[[17, 50]] *= 1.0 + 1e-6
     with pytest.raises(InvariantViolation) as single:
         FieldSet(e[17], b[17], Wavevector4(omega[17], k[17]))
     with pytest.raises(InvariantViolation) as stacked:
-        ohm._require_faraday(e, b, omega, k)
+        FieldSet(e, b, Wavevector4(omega, k))
     assert str(stacked.value) == str(single.value)
+
+
+def value_builders(rng, n=N):
+    """Each value type's construction from point i, or from the stack of the points i."""
+    omega, k = rng.uniform(0.5, 5.0, n) * rng.choice([-1.0, 1.0], n), rng.uniform(-2.0, 2.0, (n, 3))
+    sigma, e, z = random_sigma(rng, n), random_sigma(rng, n)[:, 0], random_sigma(rng, n)[:, 0, 0]
+    full, b = rng.normal(size=(n, 4, 4)) + 0j, fields_from_electric(e, Wavevector4(omega, k)).B
+    return {
+        Wavevector4: lambda i: Wavevector4(omega[i], k[i]),
+        FrameSample: lambda i: FrameSample(sigma[i], Wavevector4(omega[i], k[i])),
+        FullResponse4: lambda i: FullResponse4(full[i], Wavevector4(omega[i], k[i])),
+        PotentialSet: lambda i: PotentialSet(z[i], e[i], Wavevector4(omega[i], k[i])),
+        FourCurrent: lambda i: FourCurrent(z[i], e[i], Wavevector4(omega[i], k[i])),
+        FieldSet: lambda i: FieldSet(e[i], b[i], Wavevector4(omega[i], k[i])),
+        OhmResult: lambda i: OhmResult(e[i], 2.0 * e[i], z[i]),
+    }
+
+
+def parts(value, units=UnitsConfig(2.0)):
+    """The fields of a value, its point's included, and what its methods derive from them."""
+    out = []
+    for f in dataclasses.fields(value):
+        x = getattr(value, f.name)
+        out += parts(x) if isinstance(x, Wavevector4) else [x]
+    if isinstance(value, Wavevector4):
+        out += [value.minkowski_norm(units), (-value).omega]
+    return out + ([value.four(units)] if hasattr(value, "four") else [])
+
+
+VALUE_TYPES = [Wavevector4, FrameSample, FullResponse4, PotentialSet, FourCurrent, FieldSet, OhmResult]
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES, ids=lambda kind: kind.__name__)
+def test_value_stack_is_n_single_values(rng, kind):
+    """A stack holds the bits of N single values; a single value holds
+    Python numbers where a field is one number."""
+    build = value_builders(rng)[kind]
+    stack = parts(build(np.arange(N)))
+    for i in range(N):
+        single = parts(build(i))
+        assert not any(isinstance(x, np.generic) for x in single)
+        for a, b in zip(stack, single, strict=True):
+            assert_same_bits(a[i], np.asarray(b))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Wavevector4(np.ones(4), np.ones((5, 3))),
+     "Wavevector4: leading shapes omega (4,), kvec (5,) disagree in N"),
+    (lambda: Wavevector4(np.ones(4), np.ones(3)), "Wavevector4: leading shapes omega (4,), kvec () disagree in N"),
+    (lambda: FrameSample(np.ones((4, 3, 3)), Wavevector4(1.0, np.ones(3))),
+     "FrameSample: leading shapes conductivity (4,), at () disagree in N"),
+    (lambda: FullResponse4(np.ones((4, 4)), Wavevector4(np.ones(3), np.ones((3, 3)))),
+     "FullResponse4: leading shapes response kernel (), at (3,) disagree in N"),
+    (lambda: PotentialSet(np.ones(3), np.ones((4, 3)), Wavevector4(np.ones(3), np.ones((3, 3)))),
+     "PotentialSet: leading shapes scalar potential (3,), vector potential (4,), at (3,) disagree in N"),
+    (lambda: FourCurrent(1.0, np.ones(3), Wavevector4(np.ones(3), np.ones((3, 3)))),
+     "FourCurrent: leading shapes charge density (), current density (), at (3,) disagree in N"),
+    (lambda: FieldSet(np.zeros((3, 3)), np.zeros(3), Wavevector4(np.ones(3), np.ones((3, 3)))),
+     "FieldSet: leading shapes E (3,), B (), at (3,) disagree in N"),
+    (lambda: OhmResult(np.ones((3, 3)), np.ones((3, 3)), np.ones(4)),
+     "OhmResult: leading shapes drift_current (3,), jvec (3,), rho (4,) disagree in N"),
+    (lambda: boost_sigma_direct(FrameSample(np.eye(3), Wavevector4(1.0, np.ones(3))), np.full((3, 3), 0.1)),
+     "boost_sigma_direct: leading shapes boosts (3,), at () disagree in N"),
+    (lambda: boost_sigma_inverse(FrameSample(np.ones((3, 3, 3)), Wavevector4(np.ones(3), np.ones((3, 3)))),
+                                 np.zeros(3), Wavevector4(1.0, np.ones(3))),
+     "boost_sigma_inverse: leading shapes s_primed (3,), at () disagree in N"),
+    (lambda: transform_wavevector(boost_matrix(np.full((3, 3), 0.1)), Wavevector4(np.ones(4), np.ones((4, 3)))),
+     "transform_wavevector: leading shapes boosts (3,), at (4,) disagree in N"),
+    (lambda: generalized_ohm(np.eye(3), np.full((3, 3), 0.1), 
+                             fields_from_electric(np.ones(3), Wavevector4(1.0, [0, 0, 1]))),
+     "generalized_ohm: leading shapes boosts (3,), at () disagree in N"),
+    (lambda: chi_from_sigma(np.ones((3, 3, 3)), np.ones(4)),
+     "chi_from_sigma: leading shapes conductivity (3,), omega (4,) disagree in N"),
+])
+def test_disagreeing_stacks_are_rejected(build, message):
+    with pytest.raises(InvariantViolation) as info:
+        build()
+    assert str(info.value) == message
+
+
+STACK_OF_3 = Wavevector4(np.ones(3), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: rotate_sigma(FrameSample(np.ones((3, 3, 3)), STACK_OF_3), np.eye(3)), "rotate_sigma"),
+    (lambda: constraint_residual(FullResponse4(np.ones((3, 4, 4)), STACK_OF_3)), "constraint_residual"),
+    (lambda: decompose(boost_matrix(np.full((3, 3), 0.1))), "decompose"),
+    (lambda: boost_matrix(np.full((3, 3), 0.1)).proper, "LorentzMatrix.proper"),
+    (lambda: boost_matrix(np.full((3, 3), 0.1)).orthochronous, "LorentzMatrix.orthochronous"),
+    (lambda: check_reality(Drude(1.0, 0.5), [STACK_OF_3]), "check_reality"),
+    (lambda: Tabulated([(STACK_OF_3, np.eye(3))]), "a tabulated sample"),
+])
+def test_single_point_functions_refuse_a_stack(call, name):
+    with pytest.raises(InvariantViolation) as info:
+        call()
+    assert str(info.value) == f"{name} takes one point, not a stack of 3"
 
 
 def scalar_kernel(chi, omega, k, c):
@@ -399,10 +527,13 @@ def test_ohm_kernels_round_as_the_scalar_code(rng, c):
     sigma, e, avec = random_sigma(rng, n), random_sigma(rng, n)[:, 0], random_sigma(rng, n)[:, 1]
     s0, phi = sigma[:, 1, 1], sigma[:, 2, 2]
     bp = BoostParams(v, units)
-    b = ohm._from_electric(e, omega, k)
-    got = (bp.gamma, b, *ohm._generalized(sigma, bp, e, b, omega, k), ohm._textbook(s0, bp, e, b),
-           *ohm._from_potential(phi, avec, omega, k), ohm._induced_charge(sigma, e, omega, k),
-           _potential_fours(phi, avec, units))
+    kw = Wavevector4(omega, k)
+    fields = fields_from_electric(e, kw)
+    gen = generalized_ohm(sigma, bp, fields, units)
+    pot = PotentialSet(phi, avec, kw)
+    potential = fields_from_potential(pot)
+    got = (bp.gamma, fields.B, gen.drift_current, gen.jvec, gen.rho, textbook_ohm(s0, bp, fields, units),
+           potential.E, potential.B, induced_charge(sigma, e, kw), pot.four(units))
     for i in range(n):
         ref = scalar_ohm_laws(sigma[i], s0[i], e[i], complex(phi[i]), avec[i], float(omega[i]), k[i], v[i], c)
         for a, want in zip(got, ref):
@@ -448,10 +579,12 @@ def test_evaluate_batch_is_n_single_calls(rng, name):
             singles.append(exc)
     ok = np.array([not isinstance(s, Exception) for s in singles])
     assert_same_bits(model.evaluate_batch(omega[ok], k[ok]), np.array([s for s in singles if not isinstance(s, Exception)]))
+    assert_same_bits(model.evaluate(Wavevector4(omega[ok], k[ok])), model.evaluate_batch(omega[ok], k[ok]))
     first = next(s for s in singles if isinstance(s, Exception))
-    with pytest.raises(type(first)) as info:
-        model.evaluate_batch(omega, k)
-    assert str(info.value) == str(first)
+    for evaluate in (lambda: model.evaluate_batch(omega, k), lambda: model.evaluate(Wavevector4(omega, k))):
+        with pytest.raises(type(first)) as info:
+            evaluate()
+        assert str(info.value) == str(first)
 
 
 @pytest.mark.parametrize("interpolation", ["linear-in-omega", "nearest"])

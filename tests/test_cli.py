@@ -93,6 +93,17 @@ def test_transform_resonance_exit_3(tmp_path, capsys):
     assert "omega=1.0" in err
 
 
+def test_transform_out_of_range_exit_3(tmp_path, capsys):
+    """OutOfRange exits 3 as the other DomainErrors do, with the point's prefix."""
+    assert set(ohmcov.DomainError.__subclasses__()) == {ohmcov.BoostResonance, ohmcov.StaticFrequency, ohmcov.OutOfRange}
+    table = ohmcov.Tabulated([(ohmcov.Wavevector4(w, [0.0, 0.0, 0.0]), w * np.eye(3)) for w in (1.0, 3.0)])
+    path = model_path(tmp_path, table)
+    code, out, err = run_cli(capsys, "transform", "--model", path, "--velocity=0,0,0", "--omega=5", "--k=0,0,0")
+    assert (code, out) == (3, "")
+    assert err == ("error: at omega=5.0 k=[0.0, 0.0, 0.0]: omega = 5.0 outside the tabulated span [1.0, 3.0] "
+                   "at k = [0.0, 0.0, 0.0]\n")
+
+
 def test_static_point_is_reported_before_the_velocity(tmp_path, capsys):
     """transform evaluates the model before it checks the velocity; sweep
     checks the velocity before it visits any point."""

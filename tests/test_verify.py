@@ -376,7 +376,8 @@ def test_non_finite_point_raises_the_point_check(monkeypatch, suite, field, mess
 
 
 def test_no_wavevector4_per_drawn_point(monkeypatch):
-    """The suites check their points per block and build no Wavevector4;
+    """The suites build a stacked Wavevector4 per block, not one per drawn
+    point: 300 and 512 samples, two blocks each, build as many.
     sample_point still returns a checked one."""
     built = []
     post_init = Wavevector4.__post_init__
@@ -386,8 +387,13 @@ def test_no_wavevector4_per_drawn_point(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Wavevector4, "__post_init__", counted)
-    run_all(0, 300)
-    assert built == []
+    counts = []
+    for n in (300, 512):
+        built.clear()
+        run_all(0, n)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+    built.clear()
     kw = verify.sample_point(np.random.default_rng(0))
     assert isinstance(kw, Wavevector4) and len(built) == 1
     monkeypatch.setattr(verify, "_point", lambda rng, lead: (np.nan, np.zeros(3)))

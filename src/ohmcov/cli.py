@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, OhmcovError, ParseError, SpeedLimit
-from .materials import MaterialModel, load_model, model_from_dict
+from .materials import MaterialModel, _model_from_text, _model_text, model_from_dict
 from .minkowski import BoostParams, UnitsConfig, Wavevector4, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
 from .transform import FrameSample, boost_sigma_direct, transform_sigma_oracle
@@ -80,6 +80,8 @@ def _columns(layout) -> list[str]:
 SWEEP_COLUMNS = _columns(_SWEEP)
 
 SWEEP_BLOCK = 1024  # grid points per kernel call: spreads numpy's cost per call, bounds the temporaries
+
+MODEL_CACHE_SIZE = 8  # parsed model files kept: each holds its text and arrays, a few tables' worth of memory
 
 _CONFIG_KEYS = {"c", "model", "velocity", "grid", "output", "seed", "samples", "E"}
 
@@ -171,6 +173,11 @@ def _setup(args, default_format: str) -> tuple[dict, UnitsConfig, str, str | Non
     return cfg, units, fmt, path
 
 
+# A model file is read on every call, so an edit is always seen, and parsed once per distinct text and location,
+# all that a parse depends on.  An error is raised afresh on each call: lru_cache keeps only results.
+_parsed_model = functools.lru_cache(maxsize=MODEL_CACHE_SIZE)(_model_from_text)
+
+
 def _model_and_velocity(args, cfg: dict) -> tuple[MaterialModel, np.ndarray]:
     spec = _option(args.model, cfg, "model", lambda x: isinstance(x, (str, dict)), "a path or an inline model", None)
     if spec is None:
@@ -179,7 +186,8 @@ def _model_and_velocity(args, cfg: dict) -> tuple[MaterialModel, np.ndarray]:
         model = model_from_dict(spec)
     else:
         # a path from the config file is relative to that file; joining keeps an absolute one
-        model = load_model(spec if args.model is not None else Path(cfg["__dir__"]) / spec)
+        path = spec if args.model is not None else Path(cfg["__dir__"]) / spec
+        model = _parsed_model(_model_text(path), str(path))
     flag = None if args.velocity is None else _floats(args.velocity, 3, "--velocity")
     v = _option(flag, cfg, "velocity", _is_vec3, "3 numbers", [0.0, 0.0, 0.0])
     return model, np.array(v, dtype=float)

@@ -217,8 +217,12 @@ class Tabulated(MaterialModel):
         for i in np.argsort(omega, kind="stable").tolist():
             columns.setdefault(keys[i][1:], []).append(i)
         self._kpoints = np.array(sorted(columns))
-        self._columns = [(omega[columns[kpt]], sigma[columns[kpt]]) for kpt in sorted(columns)]
+        self._columns = tuple((omega[columns[kpt]], sigma[columns[kpt]]) for kpt in sorted(columns))
         self._spans = np.array([(omegas[0], omegas[-1]) for omegas, _ in self._columns])
+        # read-only, the samples' views too: evaluate reads copies of the nodes that a write would not reach,
+        # and the command line shares a loaded model between calls
+        for a in (*self._nodes, *(a for column in self._columns for a in column), self._kpoints, self._spans):
+            a.setflags(write=False)
         if self.real_fields:
             self._check_mirrored_nodes(dict(zip(keys, sigma)))
 
@@ -504,14 +508,20 @@ def model_to_dict(model: MaterialModel) -> dict:
 def load_model(source) -> MaterialModel:
     """Load a model from a path or an open text stream."""
     if hasattr(source, "read"):
-        text = source.read()
-        where = getattr(source, "name", "model")
-    else:
-        where = str(source)
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ParseError(f"{where}: cannot read model file: {exc}") from exc
+        return _model_from_text(source.read(), getattr(source, "name", "model"))
+    return _model_from_text(_model_text(source), str(source))
+
+
+def _model_text(path) -> str:
+    """The text of the model file at path; ParseError if it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read model file: {exc}") from exc
+
+
+def _model_from_text(text: str, where: str) -> MaterialModel:
+    """The model a document's text describes; where locates it in error messages."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

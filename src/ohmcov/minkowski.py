@@ -82,15 +82,26 @@ def _stack(owner: str, *fields, at: Wavevector4 | None = None) -> list:
     if at is not None:
         leads.append(("at", at.kvec.shape[:-1]))
     if len({lead for _, lead in leads}) > 1:
-        shapes = ", ".join(f"{name} {lead}" for name, lead in leads)
-        raise InvariantViolation(f"{owner}: leading shapes {shapes} disagree in N")
+        raise _disagree(owner, leads)
     return arrays
+
+
+def _broadcast(owner: str, *leads: tuple) -> None:
+    """InvariantViolation unless the (name, leading shape) pairs of arrays that numpy broadcasts together are
+    each (), of one point that serves every point, or of the same N points."""
+    if len({lead for _, lead in leads} - {()}) > 1:
+        raise _disagree(owner, leads)
 
 
 def _shared(owner: str, boosts: tuple, lead: tuple) -> None:
     """InvariantViolation unless the boosts, () for one that serves every point or (N,), agree with the points' lead."""
     if boosts not in ((), lead):
-        raise InvariantViolation(f"{owner}: leading shapes boosts {boosts}, at {lead} disagree in N")
+        raise _disagree(owner, [("boosts", boosts), ("at", lead)])
+
+
+def _disagree(owner: str, leads) -> InvariantViolation:
+    shapes = ", ".join(f"{name} {lead}" for name, lead in leads)
+    return InvariantViolation(f"{owner}: leading shapes {shapes} disagree in N")
 
 
 def _one_point(owner: str, lead: tuple) -> None:

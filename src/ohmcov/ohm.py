@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .minkowski import NATURAL, UnitsConfig, Wavevector4, _boost, _checked, _cross, _dots, _first, _shared, _stack
+from .minkowski import (
+    NATURAL, UnitsConfig, Wavevector4, _boost, _broadcast, _checked, _cross, _dots, _first, _shared, _stack,
+)
 from .response import PotentialSet, _real_quotient, require_dynamic
 from .transform import projector_inverse
 
@@ -87,12 +89,16 @@ def fields_from_electric(evec, at: Wavevector4) -> FieldSet:
 
 def ohm_current(sigma: np.ndarray, evec) -> np.ndarray:
     """j = sigma E; the rest-frame form of Ohm's law."""
-    return (np.asarray(sigma, dtype=complex) @ _checked(evec, (3,), complex, "E", stacked=True)[..., None])[..., 0]
+    s, e = np.asarray(sigma, dtype=complex), _checked(evec, (3,), complex, "E", stacked=True)
+    _broadcast("ohm_current", ("conductivity", s.shape[:-2]), ("E", e.shape[:-1]))
+    return (s @ e[..., None])[..., 0]
 
 
 def induced_charge(sigma: np.ndarray, evec, kw: Wavevector4) -> complex:
     """Charge density that continuity forces on j = sigma E: rho = k.j/omega."""
     require_dynamic(kw.omega)
+    _broadcast("induced_charge", ("conductivity", np.shape(sigma)[:-2]), ("E", np.shape(evec)[:-1]),
+               ("at", kw.kvec.shape[:-1]))
     rho = _real_quotient(_dots(kw.kvec, ohm_current(sigma, evec)), kw.omega)
     return rho if rho.ndim else complex(rho)
 
@@ -151,12 +157,16 @@ def textbook_ohm(
     velocity, or the BoostParams already built from it."""
     bp = _boost(v, units)
     _shared("textbook_ohm", bp.v.shape[:-1], fields.at.kvec.shape[:-1])
+    s = np.asarray(sigma_scalar, dtype=complex)
+    _broadcast("textbook_ohm", ("conductivity", s.shape), ("at", fields.at.kvec.shape[:-1]))
     beta = bp.v / bp.units.c
     emf = fields.E + _cross(bp.v, fields.B) - beta * _dots(beta, fields.E)[..., None]
-    return (bp.gamma * np.asarray(sigma_scalar, dtype=complex))[..., None] * emf
+    return (bp.gamma * s)[..., None] * emf
 
 
 def textbook_ohm_nr(sigma_scalar: complex, v: np.ndarray, fields: FieldSet) -> np.ndarray:
     """Nonrelativistic limit j - v rho = sigma (E + v x B)."""
-    vv = _checked(v, (3,), float, "velocity", stacked=True)
-    return np.asarray(sigma_scalar, dtype=complex)[..., None] * (fields.E + _cross(vv, fields.B))
+    s, vv = np.asarray(sigma_scalar, dtype=complex), _checked(v, (3,), float, "velocity", stacked=True)
+    _broadcast("textbook_ohm_nr", ("conductivity", s.shape), ("velocity", vv.shape[:-1]),
+               ("at", fields.at.kvec.shape[:-1]))
+    return s[..., None] * (fields.E + _cross(vv, fields.B))

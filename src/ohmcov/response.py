@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameMismatch, StaticFrequency
-from .minkowski import NATURAL, UnitsConfig, Wavevector4, _first, _mat, _one_point, _stack
+from .minkowski import NATURAL, UnitsConfig, Wavevector4, _broadcast, _first, _mat, _one_point, _stack
 
 __all__ = [
     "STATIC_OMEGA_FLOOR",
@@ -195,4 +195,5 @@ def gauge_shift(pot: PotentialSet, f: complex) -> PotentialSet:
     """Shift the potential by the gradient of f exp(+i k.x - i omega t):
     phi -> phi + i omega f, A -> A + i k f; f is one complex or one per point."""
     f = np.asarray(f, dtype=complex)
+    _broadcast("gauge_shift", ("f", f.shape), ("at", pot.at.kvec.shape[:-1]))
     return PotentialSet(phi=pot.phi + 1j * pot.at.omega * f, avec=pot.avec + 1j * pot.at.kvec * f[..., None], at=pot.at)

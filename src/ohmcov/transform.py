@@ -34,6 +34,7 @@ from .minkowski import (
     UnitsConfig,
     Wavevector4,
     _boost,
+    _broadcast,
     _checked_rotation,
     _dots,
     _first,
@@ -103,6 +104,7 @@ def projector_inverse(kvec: np.ndarray, v: np.ndarray, omega: float) -> np.ndarr
     """
     k = np.asarray(kvec, dtype=float)
     vv = np.asarray(v, dtype=float)
+    _broadcast("projector_inverse", ("kvec", k.shape[:-1]), ("velocity", vv.shape[:-1]), ("omega", np.shape(omega)))
     v_dot_k = _dots(vv, k)
     _raise([_resonance(np.atleast_1d(omega), np.atleast_1d(v_dot_k))])
     return _projector_inverse(k, vv, omega - v_dot_k)

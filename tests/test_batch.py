@@ -330,6 +330,30 @@ def test_ohm_kernels_are_n_single_calls(rng, c, per_point):
     assert 0 < ok.sum() < N
 
 
+def test_one_array_serves_a_stack(rng):
+    """The functions that broadcast raw arrays take one point's array with a
+    stack, and give the bits of N single calls."""
+    omega, k = rng.uniform(0.5, 5.0, N), rng.uniform(-0.5, 0.5, (N, 3))
+    sigma, e, f = random_sigma(rng), random_sigma(rng)[:, 0], random_sigma(rng)[:, 0, 0]
+    s0, v, vs = sigma[:, 0, 0], 0.1 * rand_unit(rng), 0.1 * rng.uniform(-0.5, 0.5, (N, 3))
+    one = Wavevector4(omega[0], k[0])
+
+    def calls(i):  # the stacked arguments at i, one index or all of them, with the single ones
+        kw = Wavevector4(omega[i], k[i])
+        fields, pot = fields_from_electric(e[i], kw), PotentialSet(f[i], e[i], kw)
+        shifted = gauge_shift(pot, f[0])
+        return (ohm_current(sigma[0], e[i]), ohm_current(sigma[i], e[0]), induced_charge(sigma[0], e[0], kw),
+                induced_charge(sigma[i], e[0], one), projector_inverse(k[i], v, omega[0]),
+                projector_inverse(k[0], vs[i], omega[i]), textbook_ohm(s0[0], v, fields),
+                textbook_ohm(s0[i], v, fields_from_electric(e[0], one)), textbook_ohm_nr(s0[0], v, fields),
+                textbook_ohm_nr(s0[0], vs[i], fields_from_electric(e[0], one)), shifted.phi, shifted.avec)
+
+    got = calls(np.arange(N))
+    for i in range(N):
+        for a, b in zip(got, calls(i), strict=True):
+            assert_same_bits(a[i], np.asarray(b))
+
+
 def test_faraday_check_is_per_point(rng):
     """The first field inconsistent with Faraday's law raises FieldSet's error."""
     omega = rng.uniform(0.5, 5.0, N)
@@ -387,6 +411,9 @@ def test_value_stack_is_n_single_values(rng, kind):
             assert_same_bits(a[i], np.asarray(b))
 
 
+STACK_OF_5 = Wavevector4(np.ones(5), np.ones((5, 3)))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Wavevector4(np.ones(4), np.ones((5, 3))),
      "Wavevector4: leading shapes omega (4,), kvec (5,) disagree in N"),
@@ -415,6 +442,18 @@ def test_value_stack_is_n_single_values(rng, kind):
      "generalized_ohm: leading shapes boosts (3,), at () disagree in N"),
     (lambda: chi_from_sigma(np.ones((3, 3, 3)), np.ones(4)),
      "chi_from_sigma: leading shapes conductivity (3,), omega (4,) disagree in N"),
+    (lambda: ohm_current(np.ones((4, 3, 3)), np.ones((5, 3))),
+     "ohm_current: leading shapes conductivity (4,), E (5,) disagree in N"),
+    (lambda: induced_charge(np.ones((4, 3, 3)), np.ones(3), STACK_OF_5),
+     "induced_charge: leading shapes conductivity (4,), E (), at (5,) disagree in N"),
+    (lambda: projector_inverse(np.ones((4, 3)), np.full((5, 3), 0.1), 2.0),
+     "projector_inverse: leading shapes kvec (4,), velocity (5,), omega () disagree in N"),
+    (lambda: textbook_ohm(np.ones(4), np.zeros(3), fields_from_electric(np.ones((5, 3)), STACK_OF_5)),
+     "textbook_ohm: leading shapes conductivity (4,), at (5,) disagree in N"),
+    (lambda: textbook_ohm_nr(np.ones(4), np.zeros(3), fields_from_electric(np.ones((5, 3)), STACK_OF_5)),
+     "textbook_ohm_nr: leading shapes conductivity (4,), velocity (), at (5,) disagree in N"),
+    (lambda: gauge_shift(PotentialSet(np.ones(5), np.ones((5, 3)), STACK_OF_5), np.ones(4)),
+     "gauge_shift: leading shapes f (4,), at (5,) disagree in N"),
 ])
 def test_disagreeing_stacks_are_rejected(build, message):
     with pytest.raises(InvariantViolation) as info:

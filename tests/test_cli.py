@@ -571,3 +571,76 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
         ), argv
         assert code == (2 if argv in calls[2:4] else 0)
     assert cli._build_parser.cache_info().misses == 1
+
+
+# -- the model cache -----------------------------------------------------------
+
+
+def fresh_run(argv):
+    """ohmcov in a new process: its exit code, stdout and stderr."""
+    src = str(Path(ohmcov.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "ohmcov", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+DRUDE_DOC = {"type": "drude", "sigma0": [2.0, 0.5], "tau": 0.7}
+
+
+def test_edited_model_file_is_seen(tmp_path, capsys):
+    """A model file rewritten in place, to the same length and with its old
+    modification time, gives the new model's output on the next call."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(DRUDE_DOC))
+    stat = path.stat()
+    argv = ["transform", f"--model={path}", "--velocity=0.3,0.1,0", "--omega=2", "--k=0.4,0,0.2"]
+    before = run_cli(capsys, *argv)
+    edited = json.dumps({**DRUDE_DOC, "sigma0": [3.0, 0.5]})
+    assert len(edited) == stat.st_size
+    path.write_text(edited)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_mtime_ns == stat.st_mtime_ns
+    after = run_cli(capsys, *argv)
+    assert after[0] == 0 and after != before
+    assert after == fresh_run(argv)
+
+
+def test_broken_model_file_after_a_good_one(tmp_path, capsys):
+    """A document broken after a good one at the same path fails as in a
+    fresh process, every time, and works again once repaired."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(DRUDE_DOC))
+    argv = ["transform", f"--model={path}", "--omega=2", "--k=0.4,0,0.2"]
+    good = run_cli(capsys, *argv)
+    assert good[0] == 0
+    path.write_text('{"type": "drude", "sigma0": [2.0, 0.5]}')
+    broken = fresh_run(argv)
+    assert broken == (2, "", f"error: {path}: missing field 'tau'\n")
+    assert run_cli(capsys, *argv) == broken
+    assert run_cli(capsys, *argv) == broken
+    path.write_text(json.dumps(DRUDE_DOC))
+    assert run_cli(capsys, *argv) == good
+
+
+def test_same_faulty_text_at_two_paths(tmp_path, capsys):
+    """The error of a document names the path it was read from."""
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        path.write_text('{"type": "constant-scalar", "sigma0": [1.0]}')
+        code, out, err = run_cli(capsys, "transform", f"--model={path}", "--omega=1", "--k=0,0,0")
+        assert (code, err) == (2, f"error: {path}.sigma0: expected a [re, im] pair, got [1.0]\n")
+
+
+def test_model_cache_is_bounded(tmp_path, capsys):
+    """More distinct documents than the bound keep the cache at the bound;
+    a document read again is parsed once."""
+    argv = ["transform", "--omega=1", "--k=0,0,0"]
+    for i in range(cli.MODEL_CACHE_SIZE + 3):
+        path = tmp_path / f"model{i}.json"
+        path.write_text(json.dumps({"type": "constant-scalar", "sigma0": [1.0 + i, 0.0]}))
+        assert run_cli(capsys, *argv, f"--model={path}")[0] == 0
+        assert cli._parsed_model.cache_info().currsize <= cli.MODEL_CACHE_SIZE
+    assert cli._parsed_model.cache_info().currsize == cli.MODEL_CACHE_SIZE
+    hits = cli._parsed_model.cache_info().hits
+    assert run_cli(capsys, *argv, f"--model={path}")[0] == 0
+    assert cli._parsed_model.cache_info().hits == hits + 1

@@ -1,5 +1,7 @@
 """Golden command line output: every case's stdout and stderr must match the
-recorded bytes exactly, except the timing field of verify reports.
+recorded bytes exactly, except the timing field of verify reports.  Each
+case but verify runs twice in the process, the second time with any model
+file it reads parsed already, from the model cache.
 
 The cases run in process with ``tests/golden`` as the working directory,
 so model and config paths in ``cases.json`` are relative to it.
@@ -59,6 +61,7 @@ def test_golden_output(name):
         assert without_seconds(stdout) == without_seconds(want)
     else:
         assert stdout == want
+        assert run_case(case["argv"]) == (code, stdout, stderr)  # again, with the model from the model cache
     assert stderr == (GOLDEN / f"{name}.stderr").read_bytes()
 
 

@@ -149,6 +149,21 @@ def test_tabulated_picks_nearest_k_column():
     np.testing.assert_array_equal(out, np.eye(3))
 
 
+def test_tabulated_nodes_are_read_only():
+    """A write through the public samples raises, so evaluate, == and the
+    saved document keep describing the same table."""
+    model = Tabulated(tab_nodes([np.eye(3), 3.0 * np.eye(3)], [1.0, 3.0]))
+    twin = Tabulated(tab_nodes([np.eye(3), 3.0 * np.eye(3)], [1.0, 3.0]))
+    kw, sigma = model.samples[0]
+    with pytest.raises(ValueError, match="read-only"):
+        sigma[0, 0] = 99.0
+    with pytest.raises(ValueError, match="read-only"):
+        kw.kvec[0] = 5.0
+    assert model == twin
+    assert model_to_dict(model) == model_to_dict(twin)
+    np.testing.assert_array_equal(model.evaluate(Wavevector4(1.0, np.zeros(3))), np.eye(3))
+
+
 def test_tabulated_rejects_duplicates_and_empty():
     with pytest.raises(InvariantViolation):
         Tabulated([(KW, np.eye(3)), (KW, 2.0 * np.eye(3))])

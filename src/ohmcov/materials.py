@@ -31,7 +31,6 @@ mirrored nodes present in the table.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -210,8 +209,8 @@ class Tabulated(MaterialModel):
         if not n:
             raise InvariantViolation("tabulated model needs at least one sample")
         self._nodes = _Nodes(omega, k, sigma)
-        self.interpolation = interpolation
-        self.real_fields = bool(real_fields)
+        self._interpolation = interpolation
+        self._real_fields = bool(real_fields)
         # omegas and tensors at each k point of _kpoints, sorted in omega, and their span
         columns: dict[tuple, list[int]] = {}
         for i in np.argsort(omega, kind="stable").tolist():
@@ -226,7 +225,16 @@ class Tabulated(MaterialModel):
         if self.real_fields:
             self._check_mirrored_nodes(dict(zip(keys, sigma)))
 
-    @functools.cached_property
+    # read-only, as the nodes are: evaluate and save_model read them
+    @property
+    def interpolation(self) -> str:
+        return self._interpolation
+
+    @property
+    def real_fields(self) -> bool:
+        return self._real_fields
+
+    @property
     def samples(self) -> tuple:
         """The (Wavevector4, 3x3 complex tensor) pairs, in the order given."""
         omega, k, sigma = self._nodes

@@ -6,13 +6,16 @@ uniform on [-1, 1]; omega is uniform on [0.1, 10]; |k| is uniform on
 [0, 5] and |v|/c on [0, 0.9], both with isotropic directions.  Points too
 close to the boost resonance omega = v.k are resampled.
 
-Each suite draws its samples one at a time from the generator, in a fixed
-order per sample, and evaluates them BLOCK at a time through the public
-functions, as stacks with one boost per sample.  Each run of consecutive
-uniforms in the stream is one generator call, mapped with rng.uniform's
-arithmetic, while normals and the resonance guard stay per sample; so the
-stream is the one the public samplers draw.  A stack rounds each sample as
-a single-point call does, so a seed gives the same residuals at any block
+Each suite draws its samples BLOCK at a time and evaluates each block
+through the public functions, as stacks with one boost per sample.  A
+block makes the generator calls the public samplers make for its samples,
+in the same order; each run of consecutive uniforms in the stream is one
+call, mapped with rng.uniform's arithmetic.  That bets on the resonance
+guard redrawing none of the block's samples: should one need a redraw, the
+generator is put back and the block is drawn again sample by sample with
+the samplers' own code.  So the stream, and every bit of the report, is
+the one the public samplers give.  A stack rounds each sample as a
+single-point call does, so a seed gives the same residuals at any block
 size.  Every check runs on every sample; should one fail, the block is
 evaluated again sample by sample, so the first failing sample in draw order
 raises that check's error.
@@ -56,6 +59,8 @@ ABS_FLOOR = 1e-14
 # to cancellation, so keeping d above 1e-4 of that scale preserves the
 # 1e-10 cross-check budget with two orders of margin.
 SAMPLER_GUARD_RTOL = 1e-4
+
+_VMAX = 0.9  # sample_velocity's default bound on |v| / c
 
 # Samples per array evaluation.  At 1000 samples, 256 runs as fast as 1024
 # and peaks 2 MB lower: the drawn samples and the kernels' temporaries scale with it.
@@ -114,6 +119,13 @@ def _direction(rng: np.random.Generator) -> np.ndarray:
             return g / n
 
 
+def _directions(g: np.ndarray) -> tuple:
+    """_direction's unit vectors for (m, 3) normals, and where its norm test
+    passes.  _dots rounds as g.dot(g); (g * g).sum(1) does not."""
+    norm = np.sqrt(_dots(g, g))
+    return g / norm[:, None], norm > 1e-12
+
+
 def _point(rng: np.random.Generator, lead) -> tuple:
     """sample_point's omega and k, from its two leading uniforms."""
     return _uniform(0.1, 10.0, lead[0]), _uniform(0.0, 5.0, lead[1]) * _direction(rng)
@@ -141,7 +153,7 @@ def sample_point(rng: np.random.Generator) -> Wavevector4:
     return Wavevector4(*_point(rng, rng.random(2)))
 
 
-def sample_velocity(rng: np.random.Generator, units: UnitsConfig = NATURAL, vmax: float = 0.9) -> np.ndarray:
+def sample_velocity(rng: np.random.Generator, units: UnitsConfig = NATURAL, vmax: float = _VMAX) -> np.ndarray:
     return units.c * _uniform(0.0, vmax, rng.random()) * _direction(rng)
 
 
@@ -169,36 +181,86 @@ def _suite(name: str, n: int, tol: float, draw, residuals) -> SuiteResult:
     return SuiteResult(name, n, float(worst), tol, time.perf_counter() - start)
 
 
-def _draw(rng: np.random.Generator, n: int, sample, *shapes: tuple):
+def _draw(rng: np.random.Generator, n: int, units: UnitsConfig, *segments: tuple):
     """draw(m) for _suite over n samples.
 
-    Each sample opens with two uniforms and closes with a run of uniforms,
-    drawn as complex values of the given shapes, and the next sample's two
-    follow that run in the stream, so one generator call draws both.
-    sample(lead, m) draws one sample from its two leading uniforms and
-    returns its values, the last a run of m uniforms."""
-    width = 2 * sum(math.prod(shape) for shape in shapes)
+    A sample is one or more segments (setup, shapes) in turn: a point, then,
+    if setup, a velocity behind the resonance guard, as sample_boost_setup
+    draws them, then a run of uniforms drawn as complex values of the given
+    shapes.  Each segment opens with two uniforms, and the next segment's
+    two follow the run before them in the stream, so one generator call
+    draws both.  A segment's columns are omega, k, v if setup, then its
+    complex values.
+
+    block(m, last) makes a block's generator calls into one buffer and maps
+    them at once, or returns None if the guard would redraw a sample;
+    one(last) draws one sample by the samplers' own code."""
+    segments = [(setup, shapes, 2 * sum(math.prod(shape) for shape in shapes)) for setup, shapes in segments]
+    normal, uniform = rng.standard_normal, rng.random
+    calls = [call for setup, _, _ in segments for call in (normal, *(uniform, normal) * setup, uniform)]
+    sizes = [size for setup, _, width in segments for size in (3, *(1, 3) * setup, width + 2)]
+    stride = sum(sizes)  # a sample's share of the buffer: its two leading uniforms, then its calls
     drawn, lead = 0, None
+
+    def one(last: bool) -> list:
+        nonlocal lead
+        values = []
+        for i, (setup, _, width) in enumerate(segments):
+            m = width + 2 * (not last or i + 1 < len(segments))
+            *point, run = _setup(rng, units, lead, m) if setup else (*_point(rng, lead), rng.random(m))
+            values += [*point, run[:width]]
+            lead = run[width:]
+        return values
+
+    def block(m: int, last: bool) -> list | None:
+        nonlocal lead
+        flat = np.empty(m * stride + 2)
+        flat[:2] = lead
+        ends = np.cumsum([2, *sizes * m])
+        ends[-1] -= 2 * last
+        for call, a, b in zip(calls * m, ends.tolist(), ends[1:].tolist()):
+            call(out=flat[a:b])
+        rows, values, ok, at = flat[:-2].reshape(m, stride), [], True, 0
+        for setup, _, width in segments:
+            omega = _uniform(0.1, 10.0, rows[:, at])
+            kdir, fine = _directions(rows[:, at + 2:at + 5])
+            k = _uniform(0.0, 5.0, rows[:, at + 1])[:, None] * kdir
+            values += [omega, k]
+            ok &= fine
+            at += 5
+            if setup:
+                vdir, fine = _directions(rows[:, at + 1:at + 4])
+                ok &= fine
+                v = (units.c * _uniform(0.0, _VMAX, rows[:, at]))[:, None] * vdir
+                v_dot_k = _dots(v, k)
+                gap = np.abs(omega - v_dot_k)
+                ok &= (gap > SAMPLER_GUARD_RTOL * np.maximum(np.abs(omega), np.abs(v_dot_k))) | ~np.isfinite(gap)
+                values.append(v)
+                at += 4
+            values.append(rows[:, at:at + width])
+            at += width
+        if not ok.all():
+            return None
+        lead = flat[-2:]
+        return values
 
     def draw(m):
         nonlocal drawn, lead
         if not drawn:
             lead = rng.random(2)
-        rows = []
-        for _ in range(m):
-            drawn += 1
-            *values, run = sample(lead, width + 2 * (drawn < n))
-            rows.append((*values, run[:width]))
-            lead = run[width:]
-        *values, runs = (np.array(c) for c in zip(*rows))
-        return *values, *_complexes(runs, *shapes)
+        drawn += m
+        state = rng.bit_generator.state
+        values = block(m, drawn == n)
+        if values is None:
+            rng.bit_generator.state = state
+            values = [np.array(c) for c in zip(*(one(drawn == n and i + 1 == m) for i in range(m)))]
+        columns, at = [], 0
+        for setup, shapes, _ in segments:
+            columns += [*values[at:at + 2 + setup], *_complexes(values[at + 2 + setup], *shapes)]
+            at += 3 + setup
+        return columns
 
     return draw
-
-
-def _boost_draw(rng: np.random.Generator, n: int, units: UnitsConfig, *shapes: tuple):
-    """sample_boost_setup's draws, then complex values of the given shapes."""
-    return _draw(rng, n, lambda lead, m: _setup(rng, units, lead, m), *shapes)
 
 
 # Shapes of a conductivity, a scalar and a vector potential, drawn in turn.
@@ -227,7 +289,7 @@ def oracle_equivalence_suite(
             _rel_errors(direct.at.four(units), oracle.at.four(units)),
         )
 
-    return _suite("oracle_equivalence", n, 1e-10, _boost_draw(rng, n, units, (3, 3)), residuals)
+    return _suite("oracle_equivalence", n, 1e-10, _draw(rng, n, units, (True, ((3, 3),))), residuals)
 
 
 def round_trip_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
@@ -239,13 +301,13 @@ def round_trip_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
         back = boost_sigma_inverse(boost_sigma_direct(s, bp), bp, s.at)
         return _rel_errors(back.sigma, sigma)
 
-    return _suite("round_trip", n, 1e-10, _boost_draw(rng, n, units, (3, 3)), residuals)
+    return _suite("round_trip", n, 1e-10, _draw(rng, n, units, (True, ((3, 3),))), residuals)
 
 
 def gauge_invariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
     """The induced current ignores gauge shifts of the potential."""
 
-    draw = _draw(rng, n, lambda lead, m: (*_point(rng, lead), rng.random(m)), *_POTENTIAL, ())
+    draw = _draw(rng, n, units, (False, (*_POTENTIAL, ())))
 
     def residuals(omega, k, sigma, phi, avec, f):
         at = Wavevector4(omega, k)
@@ -275,17 +337,6 @@ def _continuity_residual(omega, kvec, rho, jvec) -> np.ndarray:
 def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
     """omega rho = k.j for every current the package produces."""
 
-    def sample(lead, m):
-        omega, k = _point(rng, lead)
-        u = rng.random(28)  # a conductivity and a potential, then the boost setup's lead
-        return omega, k, u[:26], *_setup(rng, units, u[26:], m)
-
-    draw = _draw(rng, n, sample, (3,), (3, 3))
-
-    def columns(m):
-        omega, k, u, *rest = draw(m)
-        return omega, k, *_complexes(u, *_POTENTIAL), *rest
-
     def residuals(omega, k, sigma, phi, avec, omega2, k2, v, e, sigma2):
         at, at2 = Wavevector4(omega, k), Wavevector4(omega2, k2)
         full = reconstruct_full(chi_from_sigma(sigma, omega), at, units)
@@ -296,7 +347,8 @@ def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATU
         moving = generalized_ohm(sigma2, BoostParams(v, units), fields, units)
         return np.maximum(worst, _continuity_residual(omega2, k2, moving.rho, moving.jvec))
 
-    return _suite("continuity", n, 1e-12, columns, residuals)
+    draw = _draw(rng, n, units, (False, _POTENTIAL), (True, ((3,), (3, 3))))  # a current, then a moving one
+    return _suite("continuity", n, 1e-12, draw, residuals)
 
 
 def ohm_covariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
@@ -323,7 +375,7 @@ def ohm_covariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig = 
         rho_p = induced_charge(moved.sigma, e_p, moved.at)
         return _rel_errors(j4, FourCurrent(rho_p, ohm_current(moved.sigma, e_p), moved.at).four(units))
 
-    return _suite("ohm_covariance", n, 1e-10, _boost_draw(rng, n, units, *_POTENTIAL), residuals)
+    return _suite("ohm_covariance", n, 1e-10, _draw(rng, n, units, (True, _POTENTIAL)), residuals)
 
 
 def textbook_specialization_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:
@@ -336,7 +388,7 @@ def textbook_specialization_suite(rng: np.random.Generator, n: int, units: Units
         drift = generalized_ohm(s0[:, None, None] * np.eye(3), bp, fields, units).drift_current
         return _rel_errors(drift, textbook_ohm(s0, bp, fields, units))
 
-    return _suite("textbook_specialization", n, 1e-12, _boost_draw(rng, n, units, (), (3,)), residuals)
+    return _suite("textbook_specialization", n, 1e-12, _draw(rng, n, units, (True, ((), (3,)))), residuals)
 
 
 def run_all(

@@ -164,6 +164,18 @@ def test_tabulated_nodes_are_read_only():
     np.testing.assert_array_equal(model.evaluate(Wavevector4(1.0, np.zeros(3))), np.eye(3))
 
 
+@pytest.mark.parametrize("field, value", [("interpolation", "cubic"), ("real_fields", True), ("samples", ())])
+def test_tabulated_settings_are_read_only(field, value, tmp_path):
+    """The command line shares a loaded model between calls, so a setting
+    that evaluate and save_model read cannot be reassigned."""
+    model = Tabulated(tab_nodes([np.eye(3), 3.0 * np.eye(3)], [1.0, 3.0]), interpolation="nearest")
+    with pytest.raises(AttributeError):
+        setattr(model, field, value)
+    assert (model.interpolation, model.real_fields, len(model.samples)) == ("nearest", False, 2)
+    save_model(model, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json") == model
+
+
 def test_tabulated_rejects_duplicates_and_empty():
     with pytest.raises(InvariantViolation):
         Tabulated([(KW, np.eye(3)), (KW, 2.0 * np.eye(3))])

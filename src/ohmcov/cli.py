@@ -5,7 +5,10 @@ ohm (moving-medium current at one point), verify (randomized self checks).
 
 Data goes to stdout or --output; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error,
-3 domain error (resonance, static frequency, out-of-range point).
+3 domain error (resonance, static frequency, out-of-range point).  Large
+CSV sweeps render on every usable CPU, in forked children that never outlive
+the call, to the same bytes; a caller without os.fork or with other Python
+threads alive renders them in one process.
 
 Options may come from flags or from a JSON config file (--config) with
 keys c, model, velocity, grid {omega, k}, output {format, path}, seed,
@@ -18,7 +21,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -96,19 +101,15 @@ class ConfigError(OhmcovError):
 # options: flags, then the config file, then defaults
 
 
-def _floats(text: str, n: int, name: str) -> list[float]:
+def _floats(text: str, n: int | None, name: str) -> list[float]:
+    """The comma-separated numbers in text: exactly n of them, or any number, blank parts skipped, where n is None."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
+    if n is None:
+        parts = [p for p in parts if p]
+    elif len(parts) != n:
         raise ConfigError(f"{name}: expected {n} comma-separated numbers, got {text!r}")
     try:
         return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _float_list(text: str, name: str) -> list[float]:
-    try:
-        return [float(p.strip()) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -195,7 +196,7 @@ def _model_and_velocity(args, cfg: dict) -> tuple[MaterialModel, np.ndarray]:
 
 def _resolve_grid(args, cfg: dict) -> tuple[list[float], list[list[float]]]:
     grid = _option(None, cfg, "grid", lambda x: isinstance(x, dict), "an object", {})
-    flag = None if args.omega is None else _float_list(args.omega, "--omega")
+    flag = None if args.omega is None else _floats(args.omega, None, "--omega")
     omegas = _option(flag, grid, "omega", lambda x: _is_list(x, None, _is_number), "a list of numbers", [])
     flag = None if args.k is None else [_floats(part, 3, "--k") for part in args.k.split(";") if part.strip()]
     ks = _option(flag, grid, "k", lambda x: _is_list(x, None, _is_vec3), "a list of 3-vectors", [])
@@ -227,8 +228,8 @@ def _pairs(values: np.ndarray) -> list:
     return np.stack([np.real(values), np.imag(values)], axis=-1).tolist()
 
 
-def _cells(layout, record: dict) -> list:
-    """The record's values, flattened, as one CSV row in the layout's columns."""
+def _cells(layout, record: dict) -> str:
+    """The record's values, flattened, as one CSV line in the layout's columns."""
     row = []
     for key, _, kind in layout:
         value = record
@@ -238,20 +239,66 @@ def _cells(layout, record: dict) -> list:
         while isinstance(cells[0], list):
             cells = [x for part in cells for x in part]
         row += cells
-    return row
+    # csv.writer's bytes: no cell (float, int, bool, blank, suite name) needs quoting
+    return ",".join(map(str, row)) + "\n"
 
 
-def _emit(fmt: str, path: str | None, doc, layout, rows: list[list]) -> None:
-    """Write doc as JSON, or the flat rows as CSV in the layout's columns."""
-    if fmt == "structured":
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        # csv.writer's bytes: no cell (float, int, bool, blank, suite name) needs quoting
-        text = "".join([",".join(_columns(layout)) + "\n", *[",".join(map(str, row)) + "\n" for row in rows]])
+def _emit(fmt: str, path: str | None, doc, layout, chunks) -> None:
+    """Write doc as JSON, or the layout's CSV header and then the text chunks of its rows, in order."""
+    chunks = [json.dumps(doc, indent=2) + "\n"] if fmt == "structured" else [",".join(_columns(layout)) + "\n", *chunks]
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+
+
+def _sweep_csv(omega_text, k_text, wi, ki, cells, start: int, stop: int) -> str:
+    """Sweep rows start:stop as CSV: each row's grid omega and k texts, then its computed cells."""
+    rows = zip(wi[start:stop].tolist(), ki[start:stop].tolist(), cells[start:stop].tolist())
+    return "".join([omega_text[i] + k_text[j] + ",".join(map(str, row)) + "\n" for i, j, row in rows])
+
+
+def _render_chunks(render, n: int) -> list[str]:
+    """render(start, stop) over n rows in contiguous chunks, one per usable CPU and at most one per SWEEP_BLOCK rows:
+    the first here, each further one in a forked child, sent back through a pipe, or here if that child fails."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, -(-n // SWEEP_BLOCK))
+    bounds = [n * c // workers for c in range(workers + 1)]
+    children = {}  # chunk -> (pid, read end of its pipe); each is reaped before return, killed first if this raises
+    try:
+        for c in range(1, workers if hasattr(os, "fork") and threading.active_count() == 1 else 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:  # the child leaves only by os._exit, with status 0 once its whole chunk is written
+                try:
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        pipe.write(render(*bounds[c:c + 2]).encode())
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[c] = pid, open(r, "rb")
+        chunks = [render(*bounds[0:2])]
+        for c in range(1, workers):
+            data, status = b"", 1
+            if c in children:
+                with children[c][1] as pipe:
+                    data, status = pipe.read(), os.waitpid(children[c][0], 0)[1]  # EOF first, or a full pipe deadlocks
+                del children[c]
+            chunks.append(render(*bounds[c:c + 2]) if status else data.decode())
+        return chunks
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def _sweep_record(row: list) -> dict:
@@ -323,15 +370,17 @@ def cmd_sweep(args) -> int:
                 keep[start + i] = False
     for w, kv, reason in skipped:
         print(f"skipped omega={w!r} k={kv!r}: {reason}", file=sys.stderr)
-    rows = np.concatenate(tables)[keep].tolist()
-    if not rows:
+    table = np.concatenate(tables)[keep]
+    if not len(table):
         print("sweep produced no rows: every grid point was skipped", file=sys.stderr)
         return 3
     doc = None if fmt == "csv" else {
-        "rows": [_sweep_record(row) for row in rows],
+        "rows": [_sweep_record(row) for row in table.tolist()],
         "skipped": [{"omega": w, "k": kv, "reason": reason} for w, kv, reason in skipped],
     }
-    _emit(fmt, path, doc, _SWEEP, rows)
+    texts = [f"{w}," for w in omegas], ["".join(f"{x}," for x in kv) for kv in ks]  # once per grid omega and k
+    rows = functools.partial(_sweep_csv, *texts, *np.divmod(np.flatnonzero(keep), len(ks)), table[:, 4:])
+    _emit(fmt, path, doc, _SWEEP, [] if doc else _render_chunks(rows, len(table)))
     return 0
 
 

@@ -1,7 +1,20 @@
 """Shared helpers for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)  # (0, 0) for a running child; reaps one that has exited
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process behind, running or unreaped")
 
 
 @pytest.fixture

@@ -12,6 +12,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -739,11 +742,9 @@ def flatten(value):
     return [c for part in value for c in flatten(part)] if isinstance(value, list) else [value]
 
 
-def test_sweep_csv_cells_are_the_structured_values(tmp_path, capsys):
-    """Over three blocks, with skipped points on both sides of the edges and
-    cells such as -0.0, 1e-300, 1e+16 and 1e-05, each CSV cell is repr of the
-    structured output's value, and the CSV text is what csv.writer writes
-    for those rows: no cell needs quoting."""
+def edge_sweep_argv(tmp_path) -> list[str]:
+    """A sweep of 2250 points over three blocks, whose 51 skipped points lie on both
+    sides of the block edges, with cells such as -0.0, 1e-300, 1e+16 and 1e-05."""
     rng = np.random.default_rng(3)
     v = np.array([0.1, 0.5, -0.2])
     ks = rng.uniform(-3.0, 3.0, (50, 3))
@@ -755,11 +756,19 @@ def test_sweep_csv_cells_are_the_structured_values(tmp_path, capsys):
     assert len(omegas) * len(ks) > 2 * cli.SWEEP_BLOCK
     model_path = tmp_path / "drude.json"
     model_path.write_text(json.dumps({"type": "drude", "sigma0": [2.0, -0.5], "tau": 0.5}))
-    argv = [
+    return [
         "sweep", f"--model={model_path}", "--velocity=" + ",".join(map(repr, v.tolist())),
         "--omega=" + ",".join(map(repr, omegas.tolist())),
         "--k=" + ";".join(",".join(map(repr, kv)) for kv in ks.tolist()),
     ]
+
+
+def test_sweep_csv_cells_are_the_structured_values(tmp_path, capsys):
+    """Over three blocks, with skipped points on both sides of the edges and
+    cells such as -0.0, 1e-300, 1e+16 and 1e-05, each CSV cell is repr of the
+    structured output's value, and the CSV text is what csv.writer writes
+    for those rows: no cell needs quoting."""
+    argv = edge_sweep_argv(tmp_path)
     outputs = {}
     for fmt in ("csv", "structured"):
         assert cli.main(argv + [f"--format={fmt}"]) == 0
@@ -770,7 +779,7 @@ def test_sweep_csv_cells_are_the_structured_values(tmp_path, capsys):
     keys = ["omega", "k", "omega_prime", "k_prime", "sigma_prime", "residual"]
     assert all(list(record) == keys for record in doc["rows"])
     rows = [flatten([record[key] for key in keys]) for record in doc["rows"]]
-    assert len(rows) == len(omegas) * len(ks) - 51
+    assert len(rows) == 45 * 50 - 51
 
     text = outputs["csv"].out
     lines = text.splitlines()
@@ -782,3 +791,137 @@ def test_sweep_csv_cells_are_the_structured_values(tmp_path, capsys):
     writer.writerow(cli.SWEEP_COLUMNS)
     writer.writerows(rows)
     assert text == buf.getvalue()
+
+
+# The CSV rows render in contiguous chunks, one per usable CPU and at most one
+# per SWEEP_BLOCK rows; each chunk but the first renders in a forked child.  The
+# edge sweep's 2199 rows make three chunks.
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Calls of os.fork in this process; each still forks."""
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def sweep_bytes(argv, tmp_path, capsys) -> tuple[bytes, str]:
+    """The sweep's CSV and its stderr, checked to be the same to stdout and to --output."""
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    path = tmp_path / "sweep.csv"
+    assert cli.main(argv + [f"--output={path}"]) == 0
+    assert capsys.readouterr() == ("", err)
+    assert path.read_bytes() == out.encode()
+    return path.read_bytes(), err
+
+
+@pytest.fixture
+def edge_sweep(tmp_path, capsys, monkeypatch):
+    """The edge sweep's argv, and its CSV and stderr as this process alone renders them."""
+    argv = edge_sweep_argv(tmp_path)
+    use_cpus(monkeypatch, 1)
+    return argv, sweep_bytes(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_sweep_csv_bytes_do_not_depend_on_worker_count(tmp_path, capsys, monkeypatch, edge_sweep, forks, cpus):
+    argv, expected = edge_sweep
+    use_cpus(monkeypatch, cpus)
+    assert sweep_bytes(argv, tmp_path, capsys) == expected
+    assert len(forks) == 2 * (min(cpus, 3) - 1)  # two calls, each forking for all chunks but the first
+
+
+def test_sweep_csv_survives_a_failed_fork(tmp_path, capsys, monkeypatch, edge_sweep):
+    argv, expected = edge_sweep
+    use_cpus(monkeypatch, 3)
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert sweep_bytes(argv, tmp_path, capsys) == expected
+    assert len(calls) == 2  # one try per call: the rest of its chunks render here
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed", "last chunk raises"])
+def test_sweep_renders_a_failed_childs_chunk_itself(tmp_path, capsys, monkeypatch, edge_sweep, forks, failure):
+    argv, expected = edge_sweep
+    use_cpus(monkeypatch, 3)
+    parent, render = os.getpid(), cli._sweep_csv
+
+    def failing(*args):
+        start = args[-2]
+        if os.getpid() != parent and (failure != "last chunk raises" or start > 1000):
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("child fails")
+        return render(*args)
+
+    monkeypatch.setattr(cli, "_sweep_csv", failing)
+    assert sweep_bytes(argv, tmp_path, capsys) == expected
+    assert len(forks) == 4
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_sweep_leaves_no_child_when_this_process_fails(tmp_path, capsys, monkeypatch, forks, error):
+    """Children still rendering or blocked on a full pipe are killed and reaped."""
+    argv = edge_sweep_argv(tmp_path)
+    use_cpus(monkeypatch, 3)
+    parent, render = os.getpid(), cli._sweep_csv
+
+    def failing(*args):
+        if os.getpid() == parent:
+            raise error("this process fails")
+        return render(*args)
+
+    monkeypatch.setattr(cli, "_sweep_csv", failing)
+    if error is OSError:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.endswith("error: this process fails\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_to_an_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, forks):
+    use_cpus(monkeypatch, 3)
+    path = tmp_path / "missing" / "sweep.csv"
+    assert cli.main(edge_sweep_argv(tmp_path) + [f"--output={path}"]) == 2
+    assert capsys.readouterr().err.endswith(f"error: [Errno 2] No such file or directory: {str(path)!r}\n")
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_renders_here_for_one_chunk_or_another_thread(tmp_path, capsys, monkeypatch, edge_sweep, forks):
+    argv, expected = edge_sweep
+    use_cpus(monkeypatch, 3)
+    model = tmp_path / "drude.json"
+    assert cli.main(["sweep", f"--model={model}", "--omega=" + ",".join(["1.5"] * 20), "--k=0,0,1;1,0,0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 41
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert sweep_bytes(argv, tmp_path, capsys) == expected
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []

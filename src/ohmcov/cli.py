@@ -6,9 +6,10 @@ ohm (moving-medium current at one point), verify (randomized self checks).
 Data goes to stdout or --output; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error,
 3 domain error (resonance, static frequency, out-of-range point).  Large
-CSV sweeps render on every usable CPU, in forked children that never outlive
-the call, to the same bytes; a caller without os.fork or with other Python
-threads alive renders them in one process.
+sweeps, in either format, compute and render on every usable CPU: forked
+children that never outlive the call each return a chunk's result through an
+unnamed temporary file, and the bytes are the same; a caller without os.fork
+or with other Python threads alive runs them in one process.
 
 Options may come from flags or from a JSON config file (--config) with
 keys c, model, velocity, grid {omega, k}, output {format, path}, seed,
@@ -21,8 +22,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import marshal
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -38,7 +41,8 @@ from .verify import _rel_errors, rel_error, run_all
 
 __all__ = ["main"]
 
-# Output layouts.  Every command builds JSON-ready records once; a layout
+# Output layouts.  Every command builds JSON-ready records once, but sweep,
+# which renders its rows' text from the layout (_SWEEP_ROW); a layout
 # lists (record key, CSV column prefix, kind), the kind gives the CSV
 # column suffixes, and the record value, flattened, fills those columns.
 # Dotted keys reach into nested objects, and a None on the way leaves the
@@ -243,9 +247,16 @@ def _cells(layout, record: dict) -> str:
     return ",".join(map(str, row)) + "\n"
 
 
-def _emit(fmt: str, path: str | None, doc, layout, chunks) -> None:
-    """Write doc as JSON, or the layout's CSV header and then the text chunks of its rows, in order."""
-    chunks = [json.dumps(doc, indent=2) + "\n"] if fmt == "structured" else [",".join(_columns(layout)) + "\n", *chunks]
+def _emit(fmt: str, path: str | None, doc, layout, records) -> None:
+    """Write doc as JSON, or the layout's CSV header and then a line per record."""
+    if fmt == "structured":
+        _write(path, [json.dumps(doc, indent=2) + "\n"])
+    else:  # a record's CSV line is built only for CSV output
+        _write(path, [",".join(_columns(layout)) + "\n", *[_cells(layout, record) for record in records]])
+
+
+def _write(path: str | None, chunks) -> None:
+    """Write the text chunks, in order, to path or to stdout."""
     if path is None:
         sys.stdout.writelines(chunks)
     else:
@@ -253,59 +264,95 @@ def _emit(fmt: str, path: str | None, doc, layout, chunks) -> None:
             fh.writelines(chunks)
 
 
-def _sweep_csv(omega_text, k_text, wi, ki, cells, start: int, stop: int) -> str:
-    """Sweep rows start:stop as CSV: each row's grid omega and k texts, then its computed cells."""
-    rows = zip(wi[start:stop].tolist(), ki[start:stop].tolist(), cells[start:stop].tolist())
+# A sweep row as json.dumps(doc, indent=2) writes it among the document's "rows", after the separator from the row
+# before: a skeleton record whose leaves are "%s", unquoted, so that % fills in its values in SWEEP_COLUMNS order.
+_SWEEP_ROW = ",\n    " + json.dumps(
+    {key: np.full({"scalar": (), "vector": (3,), "complex matrix": (3, 3, 2)}[kind], "%s", dtype=object).tolist()
+     for key, _, kind in _SWEEP}, indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
+
+
+def _sweep_rows(table: np.ndarray, points: np.ndarray, csv_texts) -> str:
+    """Sweep rows, in SWEEP_COLUMNS order, at their grid points as text: CSV lines from each grid omega's and k's text
+    in csv_texts or, where that is None, JSON records, each after its separator."""
+    if csv_texts is None:  # json's own text of each value
+        cells = json.dumps(table.ravel().tolist())[1:-1].split(", ") if table.size else ()
+        return _SWEEP_ROW * len(table) % tuple(cells)
+    omega_text, k_text = csv_texts
+    wi, ki = np.divmod(points, len(k_text))  # omega-major
+    rows = zip(wi.tolist(), ki.tolist(), table[:, 4:].tolist())
     return "".join([omega_text[i] + k_text[j] + ",".join(map(str, row)) + "\n" for i, j, row in rows])
 
 
-def _render_chunks(render, n: int) -> list[str]:
-    """render(start, stop) over n rows in contiguous chunks, one per usable CPU and at most one per SWEEP_BLOCK rows:
-    the first here, each further one in a forked child, sent back through a pipe, or here if that child fails."""
+def _sweep_chunk(model, bp: BoostParams, grid, csv_texts, start: int, stop: int) -> tuple[list, list]:
+    """Grid points start:stop through cmd_transform's route, a block at a time: the text of each block's kept rows
+    (_sweep_rows), and the skipped points' (omega, k, reason) in grid order."""
+    texts, skipped = [], []
+    with np.errstate(all="ignore"):  # cmd_transform's route at each point; the faults flag where it raises
+        for lo in range(start, stop, SWEEP_BLOCK):
+            omega, k = (axis[lo:min(lo + SWEEP_BLOCK, stop)] for axis in grid)
+            sigma, model_faults = model._evaluate(omega, k)
+            sigma_p, omega_p, k_p, direct_faults = _direct(sigma, omega, k, bp)
+            sigma_o, omega_o, k_o, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), bp.units)
+            residual = _rel_errors(sigma_p, sigma_o)
+            point, tensor = _frame_faults(sigma, omega, k)  # the point is checked before the model, its tensor after
+            faults = [point, *model_faults, tensor, *direct_faults, *_frame_faults(sigma_p, omega_p, k_p),
+                      *oracle_faults, *_frame_faults(sigma_o, omega_o, k_o)]
+            keep = np.ones(len(omega), dtype=bool)
+            for i in np.flatnonzero(_flagged(faults)).tolist():
+                try:
+                    _raise(faults, i)
+                except DomainError as exc:
+                    skipped.append((omega[i].item(), k[i].tolist(), f"{type(exc).__name__}: {exc}"))
+                    keep[i] = False
+            table = np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual))[keep]
+            texts.append(_sweep_rows(table, lo + np.flatnonzero(keep), csv_texts))
+    return texts, skipped
+
+
+def _in_chunks(compute, n: int) -> list:
+    """compute(start, stop) over n points in contiguous chunks, one per usable CPU and at most one per SWEEP_BLOCK
+    points: the first here, each further one in a forked child that sends its result back through an unnamed
+    temporary file, or here if that file or fork cannot be made or that child fails."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, -(-n // SWEEP_BLOCK))
     bounds = [n * c // workers for c in range(workers + 1)]
-    children = {}  # chunk -> (pid, read end of its pipe); each is reaped before return, killed first if this raises
+    children = {}  # chunk -> (pid, its result file); each is reaped before return, killed first if this raises
     try:
         for c in range(1, workers if hasattr(os, "fork") and threading.active_count() == 1 else 1):
-            r, w = os.pipe()
+            try:
+                result = tempfile.TemporaryFile()
+            except OSError:
+                break
             try:
                 pid = os.fork()
             except OSError:
-                os.close(r)
-                os.close(w)
+                result.close()
                 break
-            if pid == 0:  # the child leaves only by os._exit, with status 0 once its whole chunk is written
+            if pid == 0:  # the child leaves only by os._exit, with status 0 once its whole result is written
                 try:
-                    os.close(r)
-                    with open(w, "wb") as pipe:
-                        pipe.write(render(*bounds[c:c + 2]).encode())
+                    marshal.dump(compute(*bounds[c:c + 2]), result)
+                    result.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)
-            os.close(w)
-            children[c] = pid, open(r, "rb")
-        chunks = [render(*bounds[0:2])]
+            children[c] = pid, result
+        results = [compute(*bounds[0:2])]
         for c in range(1, workers):
-            data, status = b"", 1
+            status = 1
             if c in children:
-                with children[c][1] as pipe:
-                    data, status = pipe.read(), os.waitpid(children[c][0], 0)[1]  # EOF first, or a full pipe deadlocks
-                del children[c]
-            chunks.append(render(*bounds[c:c + 2]) if status else data.decode())
-        return chunks
+                status = os.waitpid(children[c][0], 0)[1]
+                with children.pop(c)[1] as result:
+                    if not status:
+                        result.seek(0)
+                        results.append(marshal.load(result))
+            if status:
+                results.append(compute(*bounds[c:c + 2]))
+        return results
     finally:
-        for pid, pipe in children.values():
-            pipe.close()
+        for pid, result in children.values():
+            result.close()
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-
-
-def _sweep_record(row: list) -> dict:
-    """A row in SWEEP_COLUMNS order as its JSON record; sigma_prime's [re, im] pairs fill it row by row."""
-    sigma_p = [[row[i:i + 2] for i in range(j, j + 6, 2)] for j in (8, 14, 20)]
-    return {"omega": row[0], "k": row[1:4], "omega_prime": row[4], "k_prime": row[5:8],
-            "sigma_prime": sigma_p, "residual": row[26]}
 
 
 def _point(kw: Wavevector4, kw_p: Wavevector4) -> dict:
@@ -335,7 +382,7 @@ def cmd_transform(args) -> int:
         "sigma_prime": _pairs(direct.sigma),
         "residual": rel_error(direct.sigma, oracle.sigma),  # both move (k, omega) by the same code
     }
-    _emit(fmt, path, record, _TRANSFORM, [_cells(_TRANSFORM, record)])
+    _emit(fmt, path, record, _TRANSFORM, [record])
     return 0
 
 
@@ -346,41 +393,22 @@ def cmd_sweep(args) -> int:
     if not omegas or not ks:
         raise ConfigError("sweep needs at least one omega and one k (--omega/--k or the 'grid' config key)")
     bp = BoostParams(v, units)  # reject superluminal input before looping
-    grid_omega, grid_k = np.repeat(omegas, len(ks)), np.tile(ks, (len(omegas), 1))  # omega-major
-
-    tables = []  # per block, its rows in SWEEP_COLUMNS order
-    keep = np.ones(len(grid_omega), dtype=bool)
-    skipped = []
-    for start in range(0, len(grid_omega), SWEEP_BLOCK):
-        omega, k = grid_omega[start:start + SWEEP_BLOCK], grid_k[start:start + SWEEP_BLOCK]
-        with np.errstate(all="ignore"):  # cmd_transform's route at each point; the faults flag where it raises
-            sigma, model_faults = model._evaluate(omega, k)
-            sigma_p, omega_p, k_p, direct_faults = _direct(sigma, omega, k, bp)
-            sigma_o, omega_o, k_o, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), units)
-            residual = _rel_errors(sigma_p, sigma_o)
-        point, tensor = _frame_faults(sigma, omega, k)  # the point is checked before the model, its tensor after
-        faults = [point, *model_faults, tensor, *direct_faults, *_frame_faults(sigma_p, omega_p, k_p),
-                  *oracle_faults, *_frame_faults(sigma_o, omega_o, k_o)]
-        tables.append(np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual)))
-        for i in np.flatnonzero(_flagged(faults)).tolist():
-            try:
-                _raise(faults, i)
-            except DomainError as exc:
-                skipped.append((omega[i].item(), k[i].tolist(), f"{type(exc).__name__}: {exc}"))
-                keep[start + i] = False
+    grid = np.repeat(omegas, len(ks)), np.tile(ks, (len(omegas), 1))  # omega-major
+    csv_texts = ([f"{w}," for w in omegas], ["".join(f"{x}," for x in kv) for kv in ks]) if fmt == "csv" else None
+    results = _in_chunks(functools.partial(_sweep_chunk, model, bp, grid, csv_texts), len(grid[0]))
+    skipped = [skip for _, skips in results for skip in skips]
     for w, kv, reason in skipped:
         print(f"skipped omega={w!r} k={kv!r}: {reason}", file=sys.stderr)
-    table = np.concatenate(tables)[keep]
-    if not len(table):
+    texts = [text for block_texts, _ in results for text in block_texts if text]  # those of blocks with kept rows
+    if not texts:
         print("sweep produced no rows: every grid point was skipped", file=sys.stderr)
         return 3
-    doc = None if fmt == "csv" else {
-        "rows": [_sweep_record(row) for row in table.tolist()],
-        "skipped": [{"omega": w, "k": kv, "reason": reason} for w, kv, reason in skipped],
-    }
-    texts = [f"{w}," for w in omegas], ["".join(f"{x}," for x in kv) for kv in ks]  # once per grid omega and k
-    rows = functools.partial(_sweep_csv, *texts, *np.divmod(np.flatnonzero(keep), len(ks)), table[:, 4:])
-    _emit(fmt, path, doc, _SWEEP, [] if doc else _render_chunks(rows, len(table)))
+    if fmt == "csv":
+        _write(path, [",".join(SWEEP_COLUMNS) + "\n", *texts])
+    else:  # the first row drops the comma of its separator
+        skipped = [{"omega": w, "k": kv, "reason": reason} for w, kv, reason in skipped]
+        head, tail = json.dumps({"rows": ["%s"], "skipped": skipped}, indent=2).split('\n    "%s"', 1)
+        _write(path, [head, texts[0][1:], *texts[1:], tail + "\n"])
     return 0
 
 
@@ -428,7 +456,7 @@ def cmd_ohm(args) -> int:
         "drift": _pairs(gen.drift_current),
         "textbook": textbook,
     }
-    _emit(fmt, path, record, _OHM, [_cells(_OHM, record)])
+    _emit(fmt, path, record, _OHM, [record])
     return 0
 
 
@@ -445,7 +473,7 @@ def cmd_verify(args) -> int:
     results = run_all(seed, samples, units, fault=fault)
     suites = [{key: getattr(r, key) for key, _, _ in _VERIFY} for r in results]
     doc = {"seed": seed, "samples": samples, "passed": all(r.passed for r in results), "suites": suites}
-    _emit(fmt, path, doc, _VERIFY, [_cells(_VERIFY, s) for s in suites])
+    _emit(fmt, path, doc, _VERIFY, suites)
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)

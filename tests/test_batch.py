@@ -14,6 +14,7 @@ import io
 import json
 import os
 import signal
+import tempfile
 import threading
 
 import numpy as np
@@ -793,9 +794,12 @@ def test_sweep_csv_cells_are_the_structured_values(tmp_path, capsys):
     assert text == buf.getvalue()
 
 
-# The CSV rows render in contiguous chunks, one per usable CPU and at most one
-# per SWEEP_BLOCK rows; each chunk but the first renders in a forked child.  The
-# edge sweep's 2199 rows make three chunks.
+# A sweep computes its grid points in contiguous chunks, one per usable CPU and
+# at most one per SWEEP_BLOCK points; each chunk but the first runs in a forked
+# child.  The edge sweep's 2250 points make three chunks.  Each case runs in both
+# output formats, which share that route.
+
+FORMATS = ("csv", "structured")
 
 
 def use_cpus(monkeypatch, n):
@@ -816,30 +820,88 @@ def forks(monkeypatch):
 
 
 def sweep_bytes(argv, tmp_path, capsys) -> tuple[bytes, str]:
-    """The sweep's CSV and its stderr, checked to be the same to stdout and to --output."""
+    """The sweep's output and its stderr, checked to be the same to stdout and to --output."""
     assert cli.main(argv) == 0
     out, err = capsys.readouterr()
-    path = tmp_path / "sweep.csv"
+    path = tmp_path / "sweep.out"
     assert cli.main(argv + [f"--output={path}"]) == 0
     assert capsys.readouterr() == ("", err)
     assert path.read_bytes() == out.encode()
     return path.read_bytes(), err
 
 
+def formats_bytes(argv, tmp_path, capsys) -> dict:
+    """sweep_bytes in each format."""
+    return {fmt: sweep_bytes(argv + [f"--format={fmt}"], tmp_path, capsys) for fmt in FORMATS}
+
+
 @pytest.fixture
 def edge_sweep(tmp_path, capsys, monkeypatch):
-    """The edge sweep's argv, and its CSV and stderr as this process alone renders them."""
+    """The edge sweep's argv, and its output and stderr in each format as this process alone computes them."""
     argv = edge_sweep_argv(tmp_path)
     use_cpus(monkeypatch, 1)
-    return argv, sweep_bytes(argv, tmp_path, capsys)
+    return argv, formats_bytes(argv, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 def test_sweep_csv_bytes_do_not_depend_on_worker_count(tmp_path, capsys, monkeypatch, edge_sweep, forks, cpus):
+    """Nor do the structured bytes, and both formats give the same stderr."""
     argv, expected = edge_sweep
     use_cpus(monkeypatch, cpus)
-    assert sweep_bytes(argv, tmp_path, capsys) == expected
-    assert len(forks) == 2 * (min(cpus, 3) - 1)  # two calls, each forking for all chunks but the first
+    assert formats_bytes(argv, tmp_path, capsys) == expected
+    assert expected["csv"][1] == expected["structured"][1]
+    assert len(forks) == 4 * (min(cpus, 3) - 1)  # four calls, each forking for all chunks but the first
+
+
+def static_sweep_argv(tmp_path, omegas) -> list[str]:
+    """A Drude sweep of 3000 points, omegas x 100 k, with no resonance in [0.5, 6]: three chunks of 1000 points."""
+    assert len(omegas) == 30
+    model_path = tmp_path / "drude.json"
+    model_path.write_text(json.dumps({"type": "drude", "sigma0": [2.0, -0.5], "tau": 0.5}))
+    ks = np.random.default_rng(5).uniform(-0.5, 0.5, (100, 3))
+    return [
+        "sweep", f"--model={model_path}", "--velocity=0.3,0,0", "--omega=" + ",".join(map(repr, omegas)),
+        "--k=" + ";".join(",".join(map(repr, kv)) for kv in ks.tolist()),
+    ]
+
+
+@pytest.mark.parametrize("empty", [0, 1])
+def test_sweep_with_an_empty_chunk(tmp_path, capsys, monkeypatch, forks, empty):
+    """Every point of the first or the middle chunk is static and skipped: both formats hold the other chunks'
+    rows, each once and in order, with the 1-CPU bytes and stderr."""
+    omegas = np.random.default_rng(6).uniform(0.5, 6.0, 30).tolist()
+    omegas[10 * empty:10 * empty + 10] = [0.0] * 10  # grid points 1000 * empty to 1000 * empty + 999
+    rows = [w for w in omegas if w]
+    argv = static_sweep_argv(tmp_path, omegas)
+    use_cpus(monkeypatch, 1)
+    expected = formats_bytes(argv, tmp_path, capsys)
+    assert forks == []
+    use_cpus(monkeypatch, 3)
+    assert formats_bytes(argv, tmp_path, capsys) == expected
+    assert len(forks) == 8
+    err = expected["csv"][1]
+    assert err.count("skipped omega=0.0 ") == err.count("\n") == 1000
+    lines = expected["csv"][0].decode().splitlines()
+    doc = json.loads(expected["structured"][0])
+    assert len(lines) == 2001 and len(doc["rows"]) == 2000 and len(doc["skipped"]) == 1000
+    assert [float(line.split(",", 1)[0]) for line in lines[1::100]] == rows
+    assert [row["omega"] for row in doc["rows"][::100]] == rows
+
+
+def test_sweep_with_every_point_skipped_exits_3_on_any_worker_count(tmp_path, capsys, monkeypatch, forks):
+    argv = static_sweep_argv(tmp_path, [0.0] * 30)
+    for fmt in FORMATS:
+        errs = []
+        for cpus in (1, 3):
+            use_cpus(monkeypatch, cpus)
+            assert cli.main(argv + [f"--format={fmt}"]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert errs[0].count("skipped omega=0.0 ") == 3000
+        assert errs[0].endswith("\nsweep produced no rows: every grid point was skipped\n")
+    assert len(forks) == 4
 
 
 def test_sweep_csv_survives_a_failed_fork(tmp_path, capsys, monkeypatch, edge_sweep):
@@ -852,48 +914,88 @@ def test_sweep_csv_survives_a_failed_fork(tmp_path, capsys, monkeypatch, edge_sw
         raise OSError("fork refused")
 
     monkeypatch.setattr(os, "fork", fork)
-    assert sweep_bytes(argv, tmp_path, capsys) == expected
-    assert len(calls) == 2  # one try per call: the rest of its chunks render here
+    assert formats_bytes(argv, tmp_path, capsys) == expected
+    assert len(calls) == 4  # one try per call: the rest of its chunks run here
+
+
+def test_sweep_survives_a_temporary_file_that_cannot_be_made(tmp_path, capsys, monkeypatch, edge_sweep, forks):
+    argv, expected = edge_sweep
+    use_cpus(monkeypatch, 3)
+    calls = []
+
+    def temporary_file(*args, **kwargs):
+        calls.append(1)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    assert formats_bytes(argv, tmp_path, capsys) == expected
+    assert len(calls) == 4  # one try per call, before any fork
+    assert forks == []
+
+
+def failing_in_children(failure):
+    """What a failing child does: SIGKILL itself if the failure is "killed", else raise."""
+    def fail():
+        if failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("child fails")
+
+    return fail
 
 
 @pytest.mark.parametrize("failure", ["raises", "killed", "last chunk raises"])
 def test_sweep_renders_a_failed_childs_chunk_itself(tmp_path, capsys, monkeypatch, edge_sweep, forks, failure):
     argv, expected = edge_sweep
     use_cpus(monkeypatch, 3)
-    parent, render = os.getpid(), cli._sweep_csv
+    parent, chunk, fail = os.getpid(), cli._sweep_chunk, failing_in_children(failure)
 
     def failing(*args):
         start = args[-2]
         if os.getpid() != parent and (failure != "last chunk raises" or start > 1000):
-            if failure == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("child fails")
-        return render(*args)
+            fail()
+        return chunk(*args)
 
-    monkeypatch.setattr(cli, "_sweep_csv", failing)
-    assert sweep_bytes(argv, tmp_path, capsys) == expected
-    assert len(forks) == 4
+    monkeypatch.setattr(cli, "_sweep_chunk", failing)
+    assert formats_bytes(argv, tmp_path, capsys) == expected
+    assert len(forks) == 8
 
 
-@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_sweep_computes_a_chunk_whose_kernel_fails_in_its_child(tmp_path, capsys, monkeypatch, edge_sweep, forks,
+                                                               failure):
+    argv, expected = edge_sweep
+    use_cpus(monkeypatch, 3)
+    parent, direct, fail = os.getpid(), cli._direct, failing_in_children(failure)
+
+    def failing(*args):
+        if os.getpid() != parent:
+            fail()
+        return direct(*args)
+
+    monkeypatch.setattr(cli, "_direct", failing)
+    assert formats_bytes(argv, tmp_path, capsys) == expected
+    assert len(forks) == 8
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt, InvariantViolation])
 def test_sweep_leaves_no_child_when_this_process_fails(tmp_path, capsys, monkeypatch, forks, error):
-    """Children still rendering or blocked on a full pipe are killed and reaped."""
+    """Children still computing, or done and not yet reaped, are killed and reaped; the error keeps its exit code."""
     argv = edge_sweep_argv(tmp_path)
     use_cpus(monkeypatch, 3)
-    parent, render = os.getpid(), cli._sweep_csv
+    parent, direct = os.getpid(), cli._direct
 
     def failing(*args):
         if os.getpid() == parent:
             raise error("this process fails")
-        return render(*args)
+        return direct(*args)
 
-    monkeypatch.setattr(cli, "_sweep_csv", failing)
-    if error is OSError:
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err.endswith("error: this process fails\n")
-    else:
+    monkeypatch.setattr(cli, "_direct", failing)
+    if error is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
             cli.main(argv)
+    else:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: this process fails\n"
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -919,7 +1021,7 @@ def test_sweep_renders_here_for_one_chunk_or_another_thread(tmp_path, capsys, mo
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        assert sweep_bytes(argv, tmp_path, capsys) == expected
+        assert formats_bytes(argv, tmp_path, capsys) == expected
     finally:
         done.set()
         thread.join(timeout=10)

@@ -41,34 +41,34 @@ from .verify import _rel_errors, rel_error, run_all
 
 __all__ = ["main"]
 
-# Output layouts.  Every command builds JSON-ready records once, but sweep,
-# which renders its rows' text from the layout (_SWEEP_ROW); a layout
-# lists (record key, CSV column prefix, kind), the kind gives the CSV
-# column suffixes, and the record value, flattened, fills those columns.
-# Dotted keys reach into nested objects, and a None on the way leaves the
-# cells blank.
-_SUFFIXES = {
-    "scalar": [""],
-    "vector": ["x", "y", "z"],
-    "complex": ["_re", "_im"],
-    "complex vector": [f"{a}_{p}" for a in "xyz" for p in ("re", "im")],
-    "complex matrix": [f"{i}{j}_{p}" for i in range(3) for j in range(3) for p in ("re", "im")],
+# Output layouts.  Every command renders its records from the layout: a layout lists (record key, CSV column prefix,
+# kind), and a record is one flat row of its leaves' values in the layout's column order.  The kind gives the shape
+# of the key's JSON value and its CSV column suffixes; a complex value is its [re, im] pairs.  Dotted keys reach into
+# nested objects.  JSON fills the layout's cached json.dumps(record, indent=2) text, "%s" at each leaf, with json's
+# own text of the row's values, so the bytes are the standard library's; CSV fills its line with str of the same
+# values.  A key that is None (ohm's "textbook") is null in JSON and blank cells in CSV, and has no values in the row.
+_KINDS = {
+    "scalar": ((), [""]),
+    "vector": ((3,), ["x", "y", "z"]),
+    "complex": ((2,), ["_re", "_im"]),
+    "complex vector": ((3, 2), [f"{a}_{p}" for a in "xyz" for p in ("re", "im")]),
+    "complex matrix": ((3, 3, 2), [f"{i}{j}_{p}" for i in range(3) for j in range(3) for p in ("re", "im")]),
 }
 
-_POINT = [
+_POINT = (
     ("omega", "omega", "scalar"),
     ("k", "k", "vector"),
     ("omega_prime", "omega_prime", "scalar"),
     ("k_prime", "kp", "vector"),
-]
-_TRANSFORM = _POINT + [
+)
+_TRANSFORM = _POINT + (
     ("gamma", "gamma", "scalar"),
     ("sigma", "s", "complex matrix"),
     ("sigma_prime", "sp", "complex matrix"),
     ("residual", "residual", "scalar"),
-]
-_SWEEP = _POINT + [("sigma_prime", "sp", "complex matrix"), ("residual", "residual", "scalar")]
-_OHM = _POINT + [
+)
+_SWEEP = _POINT + (("sigma_prime", "sp", "complex matrix"), ("residual", "residual", "scalar"))
+_OHM = _POINT + (
     ("gamma", "gamma", "scalar"),
     ("j", "j", "complex vector"),
     ("rho", "rho", "complex"),
@@ -78,12 +78,12 @@ _OHM = _POINT + [
     ("textbook.diff_generalized_textbook", "diff_generalized_textbook", "scalar"),
     ("textbook.diff_generalized_nonrel", "diff_generalized_nonrel", "scalar"),
     ("textbook.diff_textbook_nonrel", "diff_textbook_nonrel", "scalar"),
-]
-_VERIFY = [(name, name, "scalar") for name in ("name", "samples", "max_residual", "tolerance", "passed", "seconds")]
+)
+_VERIFY = tuple((key, key, "scalar") for key in ("name", "samples", "max_residual", "tolerance", "passed", "seconds"))
 
 
 def _columns(layout) -> list[str]:
-    return [prefix + suffix for _, prefix, kind in layout for suffix in _SUFFIXES[kind]]
+    return [prefix + suffix for _, prefix, kind in layout for suffix in _KINDS[kind][1]]
 
 
 SWEEP_COLUMNS = _columns(_SWEEP)
@@ -227,32 +227,42 @@ def _resolve_efield(args, cfg: dict) -> np.ndarray:
 # output
 
 
-def _pairs(values: np.ndarray) -> list:
-    """Complex scalars, vectors or matrices as nested [re, im] lists."""
-    return np.stack([np.real(values), np.imag(values)], axis=-1).tolist()
-
-
-def _cells(layout, record: dict) -> str:
-    """The record's values, flattened, as one CSV line in the layout's columns."""
-    row = []
+@functools.cache  # once per layout, format and set of None keys; a few kB each
+def _template(layout: tuple, fmt: str, nulls: frozenset = frozenset()) -> str:
+    """One record of the layout as fmt writes it, without its newline, "%s" where each leaf's value goes in column
+    order: json.dumps(record, indent=2) for structured, the CSV line for csv.  The top-level keys in nulls are None:
+    null in JSON, blank cells in CSV."""
+    if fmt == "csv":
+        return ",".join("" if key.split(".")[0] in nulls else "%s" for key, _, kind in layout for _ in _KINDS[kind][1])
+    record = {}
     for key, _, kind in layout:
-        value = record
-        for part in key.split("."):
-            value = None if value is None else value[part]
-        cells = [""] * len(_SUFFIXES[kind]) if value is None else [value]
-        while isinstance(cells[0], list):
-            cells = [x for part in cells for x in part]
-        row += cells
-    # csv.writer's bytes: no cell (float, int, bool, blank, suite name) needs quoting
-    return ",".join(map(str, row)) + "\n"
+        *parents, leaf = key.split(".")
+        node = record
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = np.full(_KINDS[kind][0], "%s", dtype=object).tolist()
+    record.update(dict.fromkeys(nulls))  # a key keeps its place
+    return json.dumps(record, indent=2).replace('"%s"', "%s")
 
 
-def _emit(fmt: str, path: str | None, doc, layout, records) -> None:
-    """Write doc as JSON, or the layout's CSV header and then a line per record."""
+def _render(fmt: str, layout: tuple, rows: list, nulls: frozenset = frozenset()) -> str:
+    """Records of the layout as text, each a row of its leaves' values in column order but those under nulls: the one
+    record's JSON, or the CSV header and a line per record."""
     if fmt == "structured":
-        _write(path, [json.dumps(doc, indent=2) + "\n"])
-    else:  # a record's CSV line is built only for CSV output
-        _write(path, [",".join(_columns(layout)) + "\n", *[_cells(layout, record) for record in records]])
+        (row,) = rows
+        return _template(layout, fmt, nulls) % tuple(json.dumps(row)[1:-1].split(", ")) + "\n"  # floats: no ", " inside
+    # csv.writer's bytes: no cell (float, int, bool, blank, suite name) needs quoting
+    line = _template(layout, fmt, nulls) + "\n"
+    return ",".join(_columns(layout)) + "\n" + "".join([line % tuple(row) for row in rows])
+
+
+def _row(kw: Wavevector4, kw_p: Wavevector4, gamma: float, *leaves) -> list:
+    """A transform or ohm record's row: the point, its image, gamma, then the leaves, each flattened, a complex one
+    as its [re, im] pairs."""
+    row = [float(kw.omega), *kw.kvec.tolist(), float(kw_p.omega), *kw_p.kvec.tolist(), float(gamma)]
+    for leaf in map(np.asarray, leaves):
+        row += (leaf.ravel().view(float) if leaf.dtype == complex else leaf.ravel()).tolist()
+    return row
 
 
 def _write(path: str | None, chunks) -> None:
@@ -264,19 +274,12 @@ def _write(path: str | None, chunks) -> None:
             fh.writelines(chunks)
 
 
-# A sweep row as json.dumps(doc, indent=2) writes it among the document's "rows", after the separator from the row
-# before: a skeleton record whose leaves are "%s", unquoted, so that % fills in its values in SWEEP_COLUMNS order.
-_SWEEP_ROW = ",\n    " + json.dumps(
-    {key: np.full({"scalar": (), "vector": (3,), "complex matrix": (3, 3, 2)}[kind], "%s", dtype=object).tolist()
-     for key, _, kind in _SWEEP}, indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
-
-
 def _sweep_rows(table: np.ndarray, points: np.ndarray, csv_texts) -> str:
     """Sweep rows, in SWEEP_COLUMNS order, at their grid points as text: CSV lines from each grid omega's and k's text
     in csv_texts or, where that is None, JSON records, each after its separator."""
-    if csv_texts is None:  # json's own text of each value
+    if csv_texts is None:  # each record as the document's "rows" hold it, after the separator from the one before
         cells = json.dumps(table.ravel().tolist())[1:-1].split(", ") if table.size else ()
-        return _SWEEP_ROW * len(table) % tuple(cells)
+        return (",\n    " + _template(_SWEEP, "structured").replace("\n", "\n    ")) * len(table) % tuple(cells)
     omega_text, k_text = csv_texts
     wi, ki = np.divmod(points, len(k_text))  # omega-major
     rows = zip(wi.tolist(), ki.tolist(), table[:, 4:].tolist())
@@ -355,10 +358,6 @@ def _in_chunks(compute, n: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _point(kw: Wavevector4, kw_p: Wavevector4) -> dict:
-    return {"omega": kw.omega, "k": kw.kvec.tolist(), "omega_prime": kw_p.omega, "k_prime": kw_p.kvec.tolist()}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -375,14 +374,8 @@ def cmd_transform(args) -> int:
         oracle = transform_sigma_oracle(sample, bp.matrix(), units)
     except DomainError as exc:
         raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
-    record = {
-        **_point(kw, direct.at),
-        "gamma": bp.gamma,
-        "sigma": _pairs(sample.sigma),
-        "sigma_prime": _pairs(direct.sigma),
-        "residual": rel_error(direct.sigma, oracle.sigma),  # both move (k, omega) by the same code
-    }
-    _emit(fmt, path, record, _TRANSFORM, [record])
+    residual = rel_error(direct.sigma, oracle.sigma)  # both move (k, omega) by the same code
+    _write(path, [_render(fmt, _TRANSFORM, [_row(kw, direct.at, bp.gamma, sample.sigma, direct.sigma, residual)])])
     return 0
 
 
@@ -434,29 +427,18 @@ def cmd_ohm(args) -> int:
         raise ConfigError(
             f"textbook formula requires a scalar conductivity; got anisotropy {iso_defect:.3e} at {kw_p!r}"
         )
-    textbook = None
+    textbook, nulls = [], frozenset()
     if scalar:
         tb = textbook_ohm(s0, bp, fields)
         nr = textbook_ohm_nr(s0, v, fields)
-        textbook = {
-            "drift": _pairs(tb),
-            "nonrel_drift": _pairs(nr),
-            "diff_generalized_textbook": float(np.max(np.abs(gen.drift_current - tb))),
-            "diff_generalized_nonrel": float(np.max(np.abs(gen.drift_current - nr))),
-            "diff_textbook_nonrel": float(np.max(np.abs(tb - nr))),
-        }
+        diffs = [np.abs(gen.drift_current - tb).max(), np.abs(gen.drift_current - nr).max(), np.abs(tb - nr).max()]
+        textbook = [tb, nr, diffs]
     else:
         print("conductivity is not scalar at the boosted point; textbook outputs omitted", file=sys.stderr)
+        nulls = frozenset({"textbook"})
 
-    record = {
-        **_point(kw, kw_p),
-        "gamma": bp.gamma,
-        "j": _pairs(gen.jvec),
-        "rho": _pairs(gen.rho),
-        "drift": _pairs(gen.drift_current),
-        "textbook": textbook,
-    }
-    _emit(fmt, path, record, _OHM, [record])
+    row = _row(kw, kw_p, bp.gamma, gen.jvec, gen.rho, gen.drift_current, *textbook)
+    _write(path, [_render(fmt, _OHM, [row], nulls)])
     return 0
 
 
@@ -472,8 +454,11 @@ def cmd_verify(args) -> int:
     fault = 1e-6 if args.inject_fault else 0.0
     results = run_all(seed, samples, units, fault=fault)
     suites = [{key: getattr(r, key) for key, _, _ in _VERIFY} for r in results]
-    doc = {"seed": seed, "samples": samples, "passed": all(r.passed for r in results), "suites": suites}
-    _emit(fmt, path, doc, _VERIFY, suites)
+    if fmt == "structured":  # the suite names are strings, so json.dumps writes the whole report
+        doc = {"seed": seed, "samples": samples, "passed": all(r.passed for r in results), "suites": suites}
+        _write(path, [json.dumps(doc, indent=2) + "\n"])
+    else:
+        _write(path, [_render(fmt, _VERIFY, [list(suite.values()) for suite in suites])])
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)

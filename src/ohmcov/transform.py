@@ -131,7 +131,8 @@ def _transformed(owner: str, kernel, sigma: np.ndarray, at: Wavevector4, boosts:
     rows = (sigma, at.omega, at.kvec) if stacked else (sigma[None], np.array([at.omega]), at.kvec[None])
     sigma_p, omega_p, k_p, faults = kernel(*rows, *args)
     if _flagged(faults).any():
-        _raise(faults + _frame_faults(sigma_p, omega_p, k_p))
+        with np.errstate(all="ignore"):  # a replay redoes the point's overflowing arithmetic; its error reports it
+            _raise(faults + _frame_faults(sigma_p, omega_p, k_p))
     if not stacked:
         sigma_p, omega_p, k_p = sigma_p[0], omega_p[0], k_p[0]
     return FrameSample(sigma_p, Wavevector4(omega_p, k_p))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ohmcov
 from ohmcov import ConstantScalar, DiagonalAnisotropic, Drude, save_model
@@ -181,6 +184,82 @@ def test_transform_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["gamma"] == 1.0
+
+
+
+def test_transform_overflowing_point_prints_one_error_line(tmp_path, capsys):
+    """The replay that finds which check a point fails redoes its overflowing arithmetic without a numpy warning
+    (an error under this suite's warning filter): stderr holds the error line alone."""
+    path = model_path(tmp_path, Drude(2.0 + 0.5j, 0.7))
+    code, out, err = run_cli(
+        capsys, "transform", f"--model={path}", "--velocity=0.1,0,0", "--omega=1e308", "--k=1e308,0,0"
+    )
+    assert (code, out, err) == (2, "", "error: response kernel entries must be finite\n")
+
+
+# -- output rendering ----------------------------------------------------------
+
+# A record's row is its leaves' values in column order; each case builds the record that row stands for, in the
+# shape its command writes, and its CSV cells, blank for a textbook that is None.
+LEAVES = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308]),
+)
+
+
+def take(values, n: int) -> list:
+    return [next(values) for _ in range(n)]
+
+
+def pairs(values, n: int) -> list:
+    return [take(values, 2) for _ in range(n)]
+
+
+def point_record(values) -> dict:
+    return {"omega": next(values), "k": take(values, 3), "omega_prime": next(values), "k_prime": take(values, 3),
+            "gamma": next(values)}
+
+
+def transform_record(values) -> dict:
+    return {**point_record(values), "sigma": [pairs(values, 3) for _ in range(3)],
+            "sigma_prime": [pairs(values, 3) for _ in range(3)], "residual": next(values)}
+
+
+def ohm_record(values, scalar: bool) -> dict:
+    record = {**point_record(values), "j": pairs(values, 3), "rho": take(values, 2), "drift": pairs(values, 3)}
+    record["textbook"] = {
+        "drift": pairs(values, 3),
+        "nonrel_drift": pairs(values, 3),
+        "diff_generalized_textbook": next(values),
+        "diff_generalized_nonrel": next(values),
+        "diff_textbook_nonrel": next(values),
+    } if scalar else None
+    return record
+
+
+RENDER_CASES = {  # layout, keys that are None, row length, record builder
+    "transform": (cli._TRANSFORM, frozenset(), 46, transform_record),
+    "ohm scalar": (cli._OHM, frozenset(), 38, lambda values: ohm_record(values, True)),
+    "ohm non-scalar": (cli._OHM, frozenset({"textbook"}), 23, lambda values: ohm_record(values, False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+@given(data=st.data())
+def test_render_gives_the_standard_librarys_bytes(case, data):
+    layout, nulls, n, build = RENDER_CASES[case]
+    row = data.draw(st.lists(LEAVES, min_size=n, max_size=n))
+    values = iter(row)
+    record = build(values)
+    assert next(values, None) is None  # the record holds every value of the row
+    assert cli._render("structured", layout, [row], nulls) == json.dumps(record, indent=2) + "\n"
+
+    columns = cli._columns(layout)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerow(row + [""] * (len(columns) - n))  # the textbook columns come last
+    assert cli._render("csv", layout, [row], nulls) == buf.getvalue()
 
 
 # -- sweep -------------------------------------------------------------------

@@ -65,6 +65,13 @@ def test_golden_output(name):
     assert stderr == (GOLDEN / f"{name}.stderr").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(name for name in CASES if (GOLDEN / f"{name}.stdout").read_text()[:1] == "{"))
+def test_golden_json_is_the_standard_librarys_bytes(name):
+    """Every recorded JSON document is json.dumps(doc, indent=2)'s text of itself, whatever route rendered it."""
+    text = (GOLDEN / f"{name}.stdout").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 if __name__ == "__main__":
     for name, case in sorted(CASES.items()):
         if (GOLDEN / f"{name}.stdout").exists():

@@ -31,8 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import reader
 from .errors import DomainError, InvariantViolation, OhmcovError, ParseError, SpeedLimit
-from .materials import MaterialModel, _model_from_text, _model_text, model_from_dict
+from .materials import MaterialModel, _model_from_text, model_from_dict
 from .minkowski import BoostParams, UnitsConfig, Wavevector4, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
 from .transform import FrameSample, boost_sigma_direct, transform_sigma_oracle
@@ -92,8 +93,6 @@ SWEEP_BLOCK = 1024  # grid points per kernel call: spreads numpy's cost per call
 
 MODEL_CACHE_SIZE = 8  # parsed model files kept: each holds its text and arrays, a few tables' worth of memory
 
-_CONFIG_KEYS = {"c", "model", "velocity", "grid", "output", "seed", "samples", "E"}
-
 ISOTROPY_RTOL = 1e-12
 
 
@@ -118,63 +117,35 @@ def _floats(text: str, n: int | None, name: str) -> list[float]:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-# JSON types: bool is a subclass of int in Python but never a number here, nor is an int beyond float range.
-def _is_number(x) -> bool:
-    return isinstance(x, float) or (_is_int(x) and abs(x) <= sys.float_info.max)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_list(x, n: int | None, item) -> bool:
-    return isinstance(x, list) and (n is None or len(x) == n) and all(item(e) for e in x)
-
-
-def _is_vec3(x) -> bool:
-    return _is_list(x, 3, _is_number)
-
-
-def _option(flag, cfg: dict, key: str, valid, what: str, default):
-    """The flag's value if given, else cfg[key] if present, else default.
-
-    flag arrives parsed; a config value must pass valid, or ConfigError
-    names the key and the expected type what.
-    """
+def _option(flag, cfg: dict, key: str, read, default):
+    """The flag's value if given, else cfg[key] as read checks it at its location in the config file, if present,
+    else default."""
     if flag is not None:
         return flag
     if key not in cfg:
         return default
-    if not valid(cfg[key]):
-        raise ConfigError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
-    return cfg[key]
+    return read(cfg[key], f"{cfg['__where__']}[{key!r}]")
+
+
+def _object(*keys: str):
+    """The check of a config object with keys among keys; the object it returns holds its location for _option."""
+    return lambda x, where: {**reader.fields(x, where, (), keys), "__where__": where}
 
 
 def _load_config(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal of more digits than Python converts
-        raise ConfigError(f"{path}: unreadable number: {exc}") from exc
+    doc = reader.parse(reader.read_text(path, "config"), path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be an object")
-    extras = set(doc) - _CONFIG_KEYS
-    if extras:
-        raise ConfigError(f"{path}: unknown config key(s) {sorted(extras)!r}")
-    doc["__dir__"] = str(Path(path).parent)
-    return doc
+    return _object("c", "model", "velocity", "grid", "output", "seed", "samples", "E")(doc, path)
 
 
 def _setup(args, default_format: str) -> tuple[dict, UnitsConfig, str, str | None]:
     """Config file, units and output destination, which every command takes."""
     cfg = _load_config(args.config) if args.config else {}
-    units = UnitsConfig(_option(args.c, cfg, "c", _is_number, "a number", 1.0))
-    out = _option(None, cfg, "output", lambda x: isinstance(x, dict), "an object", {})
-    fmt = _option(args.format, out, "format", lambda x: x in ("csv", "structured"), "csv or structured", default_format)
-    path = _option(args.output, out, "path", lambda x: isinstance(x, str), "a string", None)
+    units = UnitsConfig(_option(args.c, cfg, "c", reader.real, 1.0))
+    out = _option(None, cfg, "output", _object("format", "path"), {})
+    fmt = _option(args.format, out, "format", reader.choice("csv", "structured"), default_format)
+    path = _option(args.output, out, "path", reader.of(str, "a string"), None)
     return cfg, units, fmt, path
 
 
@@ -184,27 +155,26 @@ _parsed_model = functools.lru_cache(maxsize=MODEL_CACHE_SIZE)(_model_from_text)
 
 
 def _model_and_velocity(args, cfg: dict) -> tuple[MaterialModel, np.ndarray]:
-    spec = _option(args.model, cfg, "model", lambda x: isinstance(x, (str, dict)), "a path or an inline model", None)
+    spec = _option(args.model, cfg, "model", reader.of((str, dict), "a path or an inline model"), None)
     if spec is None:
         raise ConfigError("no conductivity model given (use --model or the 'model' config key)")
     if isinstance(spec, dict):
-        model = model_from_dict(spec)
+        model = model_from_dict(spec, f"{cfg['__where__']}['model']")
     else:
         # a path from the config file is relative to that file; joining keeps an absolute one
-        path = spec if args.model is not None else Path(cfg["__dir__"]) / spec
-        model = _parsed_model(_model_text(path), str(path))
+        path = spec if args.model is not None else Path(cfg["__where__"]).parent / spec
+        model = _parsed_model(reader.read_text(path, "model file"), str(path))
     flag = None if args.velocity is None else _floats(args.velocity, 3, "--velocity")
-    v = _option(flag, cfg, "velocity", _is_vec3, "3 numbers", [0.0, 0.0, 0.0])
+    v = _option(flag, cfg, "velocity", reader.vec3, [0.0, 0.0, 0.0])
     return model, np.array(v, dtype=float)
 
 
 def _resolve_grid(args, cfg: dict) -> tuple[list[float], list[list[float]]]:
-    grid = _option(None, cfg, "grid", lambda x: isinstance(x, dict), "an object", {})
+    grid = _option(None, cfg, "grid", _object("omega", "k"), {})
     flag = None if args.omega is None else _floats(args.omega, None, "--omega")
-    omegas = _option(flag, grid, "omega", lambda x: _is_list(x, None, _is_number), "a list of numbers", [])
+    omegas = _option(flag, grid, "omega", reader.array(reader.real), [])
     flag = None if args.k is None else [_floats(part, 3, "--k") for part in args.k.split(";") if part.strip()]
-    ks = _option(flag, grid, "k", lambda x: _is_list(x, None, _is_vec3), "a list of 3-vectors", [])
-    return [float(w) for w in omegas], [[float(x) for x in kv] for kv in ks]
+    return omegas, _option(flag, grid, "k", reader.array(reader.vec3), [])
 
 
 def _resolve_single_point(args, cfg: dict) -> Wavevector4:
@@ -216,11 +186,15 @@ def _resolve_single_point(args, cfg: dict) -> Wavevector4:
 
 def _resolve_efield(args, cfg: dict) -> np.ndarray:
     flag = None if args.E is None else _floats(args.E, 3, "--E")
-    valid = lambda x: _is_list(x, 3, lambda c: _is_number(c) or _is_list(c, 2, _is_number))  # noqa: E731
-    e = _option(flag, cfg, "E", valid, "3 numbers or [re, im] pairs", None)
+    e = _option(flag, cfg, "E", _E, None)
     if e is None:
         raise ConfigError("ohm needs an electric field amplitude (--E or the 'E' config key)")
-    return np.array([complex(*c) if isinstance(c, list) else complex(c) for c in e])
+    return np.array(e, dtype=complex)
+
+
+# the config's E: 3 entries, each a real number or a [re, im] pair
+_E = reader.array(lambda x, where: reader.pair(x, where) if isinstance(x, list) else reader.real(x, where), 3,
+                  "a 3-vector")
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +418,8 @@ def cmd_ohm(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, units, fmt, path = _setup(args, "structured")
-    seed = _option(args.seed, cfg, "seed", _is_int, "an integer", 0)
-    samples = _option(args.samples, cfg, "samples", _is_int, "an integer", 1000)
+    seed = _option(args.seed, cfg, "seed", reader.integer, 0)
+    samples = _option(args.samples, cfg, "samples", reader.integer, 1000)
     if samples <= 0:
         raise ConfigError(f"samples must be positive, got {samples}")
     if seed < 0:

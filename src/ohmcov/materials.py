@@ -34,11 +34,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Union
 
 import numpy as np
 
+from . import reader
 from .errors import InvariantViolation, OutOfRange, ParseError
 from .response import _static
 from .minkowski import Wavevector4, _checked, _one_point
@@ -168,22 +168,18 @@ class _Nodes(NamedTuple):
 
 
 def _nodes_from_pairs(samples) -> _Nodes:
-    """(point, tensor) pairs as arrays, each pair checked in turn: its point,
-    its tensor, then that the point is new."""
-    points, tensors, seen = [], [], set()
+    """(point, tensor) pairs as arrays, each point checked as it is read and each tensor's shape."""
+    points, tensors = [], []
     for kw, sigma in samples:
         if not isinstance(kw, Wavevector4):
             kw = Wavevector4(*kw)
         _one_point("a tabulated sample", kw.kvec.shape[:-1])
-        # named by index: formatting kw for every sample would cost more than the check
-        tensors.append(_checked(sigma, (3, 3), complex, f"tabulated tensor {len(tensors)}"))
-        key = (kw.omega, *kw.kvec.tolist())
-        if key in seen:
-            raise InvariantViolation(f"duplicate sample point {kw!r}")
-        seen.add(key)
-        points.append(kw)
-    omega = np.array([kw.omega for kw in points], dtype=float)
-    return _Nodes(omega, np.array([kw.kvec for kw in points]).reshape(-1, 3), np.array(tensors).reshape(-1, 3, 3))
+        tensors.append(np.asarray(sigma, dtype=complex))
+        if tensors[-1].shape != (3, 3):
+            raise InvariantViolation(f"tabulated tensor {len(points)} must have shape (3, 3), got {tensors[-1].shape}")
+        points.append((kw.omega, *kw.kvec.tolist()))
+    point = np.array(points, dtype=float).reshape(-1, 4)
+    return _Nodes(point[:, 0], point[:, 1:], np.array(tensors).reshape(-1, 3, 3))
 
 
 class Tabulated(MaterialModel):
@@ -199,14 +195,16 @@ class Tabulated(MaterialModel):
     def __init__(self, samples, interpolation: str = "linear-in-omega", real_fields: bool = False):
         if interpolation not in _INTERPOLATIONS:
             raise InvariantViolation(f"interpolation must be one of {_INTERPOLATIONS}, got {interpolation!r}")
-        # model_from_dict hands over the arrays it read; the pairs' own checks run when a node is bad
+        # model_from_dict hands over the arrays it read; either way each point was checked as it was read
         omega, k, sigma = samples if isinstance(samples, _Nodes) else _nodes_from_pairs(samples)
-        n = len(omega)
-        omega, k = _checked(omega, (n,), float, "omega"), _checked(k, (n, 3), float, "kvec")
-        keys = [(w, *kv) for w, kv in zip(omega.tolist(), k.tolist())]
-        if len(set(keys)) < n or not np.isfinite(sigma).all():
-            _nodes_from_pairs(zip(zip(omega, k), sigma))  # raises the first bad pair's error
-        if not n:
+        keys, seen = [(w, *kv) for w, kv in zip(omega.tolist(), k.tolist())], set()
+        for i, finite in enumerate(np.isfinite(sigma).all(axis=(1, 2)).tolist()):  # the first bad node raises
+            if not finite:
+                raise InvariantViolation(f"tabulated tensor {i} entries must be finite")
+            if keys[i] in seen:
+                raise InvariantViolation(f"duplicate sample point {Wavevector4(keys[i][0], keys[i][1:])!r}")
+            seen.add(keys[i])
+        if not keys:
             raise InvariantViolation("tabulated model needs at least one sample")
         self._nodes = _Nodes(omega, k, sigma)
         self._interpolation = interpolation
@@ -267,10 +265,11 @@ class Tabulated(MaterialModel):
     def _nearest(self, k: np.ndarray) -> np.ndarray:
         """The index of each point's nearest k column; of equidistant columns the first."""
         step = max(1, _NEAREST_CELLS // len(self._kpoints))  # points per broadcast: bounds its temporary
-        return np.concatenate([
-            np.linalg.norm(k[i:i + step, None, :] - self._kpoints[None], axis=2).argmin(axis=1)
-            for i in range(0, max(len(k), 1), step)  # one chunk at least: no points give an empty index array
-        ])
+        with np.errstate(over="ignore"):  # a distance beyond float range reads inf, never nearer than a finite one
+            return np.concatenate([
+                np.linalg.norm(k[i:i + step, None, :] - self._kpoints[None], axis=2).argmin(axis=1)
+                for i in range(0, max(len(k), 1), step)  # one chunk at least: no points give an empty index array
+            ])
 
     def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
         near = self._nearest(k)
@@ -327,79 +326,22 @@ def check_reality(model: MaterialModel, sample_points, tol: float = REALITY_TOL)
 # serialization
 
 
-def _want(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ParseError(f"{where}: missing field {key!r}")
-    return doc[key]
+_SAMPLE_KEYS = ("omega", "k", "sigma")
 
 
-def _no_extras(doc: dict, allowed: set, where: str) -> None:
-    extras = set(doc) - allowed
-    if extras:
-        raise ParseError(f"{where}: unknown field(s) {sorted(extras)!r}")
+def _sample(entry, where: str) -> list[float]:
+    """_read_sample's values of a tabulated sample, read a field at a time: ParseError at its first fault, or
+    InvariantViolation for a point that is not finite."""
+    reader.fields(entry, where, _SAMPLE_KEYS)
+    point = [reader.real(entry["omega"], where + ".omega"), *reader.vec3(entry["k"], where + ".k")]
+    Wavevector4(point[0], point[1:])  # the point before its tensor
+    return point + [x for row in reader.tensor(entry["sigma"], where + ".sigma") for z in row for x in (z.real, z.imag)]
 
 
-def _as_real(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ParseError(f"{where}: expected a real number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise ParseError(f"{where}: expected a real number, got an integer beyond float range") from None
-
-
-def _as_pair(x, where: str) -> complex:
-    if not (isinstance(x, (list, tuple)) and len(x) == 2):
-        raise ParseError(f"{where}: expected a [re, im] pair, got {x!r}")
-    return complex(_as_real(x[0], where + "[0]"), _as_real(x[1], where + "[1]"))
-
-
-def _as_vec3(x, where: str) -> list[float]:
-    if not (isinstance(x, (list, tuple)) and len(x) == 3):
-        raise ParseError(f"{where}: expected a 3-vector, got {x!r}")
-    return [_as_real(v, f"{where}[{i}]") for i, v in enumerate(x)]
-
-
-def _as_tensor(x, where: str) -> np.ndarray:
-    if not (isinstance(x, (list, tuple)) and len(x) == 3):
-        raise ParseError(f"{where}: expected 3 rows, got {x!r}")
-    rows = []
-    for i, row in enumerate(x):
-        if not (isinstance(row, (list, tuple)) and len(row) == 3):
-            raise ParseError(f"{where}[{i}]: expected 3 entries, got {row!r}")
-        rows.append([_as_pair(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)])
-    return np.array(rows, dtype=complex)
-
-
-_SAMPLE_KEYS = {"omega", "k", "sigma"}
-
-
-def _sample_fault(entry, where: str) -> None:
-    """Raise the error of a tabulated sample's first fault, read a field at a
-    time: ParseError, or InvariantViolation for a non-finite point."""
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: expected an object")
-    _no_extras(entry, _SAMPLE_KEYS, where)
-    omega = _as_real(_want(entry, "omega", where), where + ".omega")
-    Wavevector4(omega, _as_vec3(_want(entry, "k", where), where + ".k"))  # the point before its tensor
-    _as_tensor(_want(entry, "sigma", where), where + ".sigma")
-
-
-def _reals(xs: list) -> list[float] | None:
-    """xs as floats, converted in order, if each passes _as_real; None otherwise."""
-    types = set(map(type, xs))
-    if bool in types or not all(issubclass(t, (int, float)) for t in types):
-        return None
-    try:
-        return list(map(float, xs))
-    except OverflowError:  # an int beyond float range, which _as_real locates
-        return None
-
-
-def _read_sample(entry) -> tuple | None:
-    """A tabulated sample's point [omega, kx, ky, kz] and the 18 floats of its
-    sigma [re, im] pairs, row by row; None where _sample_fault finds a fault."""
-    if not (isinstance(entry, dict) and entry.keys() == _SAMPLE_KEYS):
+def _read_sample(entry) -> list[float] | None:
+    """The 22 values of a tabulated sample, its point omega, kx, ky, kz and then its sigma's [re, im] pairs row by row,
+    if _sample would read it so; None where _sample may find a fault.  The bulk path of a table's walk."""
+    if not (isinstance(entry, dict) and entry.keys() == set(_SAMPLE_KEYS)):
         return None
     k, sigma = entry["k"], entry["sigma"]
     if not (isinstance(k, (list, tuple)) and len(k) == 3 and isinstance(sigma, (list, tuple)) and len(sigma) == 3
@@ -408,79 +350,58 @@ def _read_sample(entry) -> tuple | None:
     pairs = [*sigma[0], *sigma[1], *sigma[2]]
     if not all(isinstance(z, (list, tuple)) and len(z) == 2 for z in pairs):
         return None
-    point = _reals([entry["omega"], *k])
-    if point is None or not all(map(math.isfinite, point)):
-        return None
-    parts = _reals([x for z in pairs for x in z])
-    return None if parts is None else (point, parts)
+    values = reader.reals([entry["omega"], *k, *(x for z in pairs for x in z)])
+    return values if values is not None and all(map(math.isfinite, values[:4])) else None
 
 
 def _tabulated_nodes(samples, where: str) -> _Nodes:
     """The samples of a tabulated document as arrays, read in one walk that
     formats a sample's location only to raise its error."""
-    if not isinstance(samples, (list, tuple)):
-        raise ParseError(f"{where}.samples: expected an array")
-    points, parts = [], []
+    reader.check(isinstance(samples, (list, tuple)), samples, "an array", where)
+    values = []
     for i, entry in enumerate(samples):
-        sample = _read_sample(entry)
-        if sample is None:
-            _sample_fault(entry, f"{where}.samples[{i}]")
-        points += sample[0]
-        parts += sample[1]
-    point = np.array(points, dtype=float).reshape(-1, 4)
+        values += _read_sample(entry) or _sample(entry, f"{where}[{i}]")
+    table = np.array(values, dtype=float).reshape(-1, 22)
     # [re, im] pairs read as complex keep the sign of a zero part, which re + 1j * im would not
-    sigma = np.array(parts, dtype=float).reshape(-1, 3, 3, 2).view(complex)[..., 0]
-    return _Nodes(point[:, 0], point[:, 1:], sigma)
+    return _Nodes(table[:, 0], table[:, 1:4], table[:, 4:].copy().view(complex).reshape(-1, 3, 3))
 
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _drude_pole(doc, where: str, *keys: str) -> Drude:
+    """A drude document, or a diagonal entry's pole: its sigma0 and tau, with the given keys besides."""
+    reader.fields(doc, where, (*keys, "sigma0", "tau"))
+    return Drude(reader.pair(doc["sigma0"], where + ".sigma0"), reader.real(doc["tau"], where + ".tau"))
+
+
+# a diagonal model's entries: each a [re, im] pair or a pole
+_axes = reader.array(lambda e, where: _drude_pole(e, where) if isinstance(e, dict) else reader.pair(e, where),
+                     3, "3 axis entries")
+
+
 def model_from_dict(doc: dict, where: str = "model") -> MaterialModel:
     """Build a model from a parsed document; raises ParseError on shape
     problems and InvariantViolation on bad values."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected an object, got {type(doc).__name__}")
-    kind = _want(doc, "type", where)
+    kind = reader.fields(doc, where, ("type",), None)["type"]
     if kind == "constant-scalar":
-        _no_extras(doc, {"type", "sigma0"}, where)
-        return ConstantScalar(_as_pair(_want(doc, "sigma0", where), f"{where}.sigma0"))
+        reader.fields(doc, where, ("type", "sigma0"))
+        return ConstantScalar(reader.pair(doc["sigma0"], where + ".sigma0"))
     if kind == "drude":
-        _no_extras(doc, {"type", "sigma0", "tau"}, where)
-        return Drude(
-            _as_pair(_want(doc, "sigma0", where), f"{where}.sigma0"),
-            _as_real(_want(doc, "tau", where), f"{where}.tau"),
-        )
+        return _drude_pole(doc, where, "type")
     if kind == "diagonal":
-        _no_extras(doc, {"type", "entries"}, where)
-        entries = _want(doc, "entries", where)
-        if not (isinstance(entries, (list, tuple)) and len(entries) == 3):
-            raise ParseError(f"{where}.entries: expected 3 axis entries, got {entries!r}")
-        axes = []
-        for i, e in enumerate(entries):
-            spot = f"{where}.entries[{i}]"
-            if isinstance(e, dict):
-                _no_extras(e, {"sigma0", "tau"}, spot)
-                axes.append(Drude(_as_pair(_want(e, "sigma0", spot), spot + ".sigma0"),
-                                  _as_real(_want(e, "tau", spot), spot + ".tau")))
-            else:
-                axes.append(_as_pair(e, spot))
-        return DiagonalAnisotropic(tuple(axes))
+        reader.fields(doc, where, ("type", "entries"))
+        return DiagonalAnisotropic(tuple(_axes(doc["entries"], where + ".entries")))
     if kind == "tabulated":
-        _no_extras(doc, {"type", "interpolation", "real_fields", "samples"}, where)
-        nodes = _tabulated_nodes(_want(doc, "samples", where), where)
-        interpolation = doc.get("interpolation", "linear-in-omega")
-        if not isinstance(interpolation, str):
-            raise ParseError(f"{where}.interpolation: expected a string")
-        real_fields = doc.get("real_fields", False)
-        if not isinstance(real_fields, bool):
-            raise ParseError(f"{where}.real_fields: expected a boolean")
+        reader.fields(doc, where, ("type", "samples"), ("interpolation", "real_fields"))
+        nodes = _tabulated_nodes(doc["samples"], where + ".samples")
+        interpolation, real_fields = doc.get("interpolation", "linear-in-omega"), doc.get("real_fields", False)
+        reader.check(isinstance(interpolation, str), interpolation, "a string", where + ".interpolation")
+        reader.check(isinstance(real_fields, bool), real_fields, "a boolean", where + ".real_fields")
         return Tabulated(nodes, interpolation=interpolation, real_fields=real_fields)
-    raise ParseError(
-        f"{where}.type: unknown model type {kind!r}; "
-        "expected constant-scalar, drude, diagonal, or tabulated"
-    )
+    raise ParseError(f"{where}.type: unknown model type {kind!r}; expected constant-scalar, drude, diagonal, "
+                     "or tabulated")
 
 
 def model_to_dict(model: MaterialModel) -> dict:
@@ -517,26 +438,12 @@ def load_model(source) -> MaterialModel:
     """Load a model from a path or an open text stream."""
     if hasattr(source, "read"):
         return _model_from_text(source.read(), getattr(source, "name", "model"))
-    return _model_from_text(_model_text(source), str(source))
-
-
-def _model_text(path) -> str:
-    """The text of the model file at path; ParseError if it cannot be read."""
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read model file: {exc}") from exc
+    return _model_from_text(reader.read_text(source, "model file"), str(source))
 
 
 def _model_from_text(text: str, where: str) -> MaterialModel:
     """The model a document's text describes; where locates it in error messages."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal of more digits than Python converts
-        raise ParseError(f"{where}: unreadable number: {exc}") from exc
-    return model_from_dict(doc, where=where)
+    return model_from_dict(reader.parse(text, where), where=where)
 
 
 def save_model(model: MaterialModel, dest) -> None:

@@ -221,7 +221,8 @@ class BoostParams:
     def __post_init__(self) -> None:
         v = _checked(self.v, (3,), float, "velocity", stacked=True)
         c = self.units.c
-        speed = np.sqrt(_dots(v, v))
+        with np.errstate(over="ignore"):  # a |v|^2 beyond float range is inf, over the limit as it should be
+            speed = np.sqrt(_dots(v, v))
         over = speed / c > 1.0 - SPEED_MARGIN
         if over.any():
             speed = float(np.ravel(speed)[_first(over)])
@@ -267,16 +268,17 @@ class LorentzMatrix:
         # Each entry of m^T eta m sums four products of entries, each off by
         # about eps |m_ij| |m_kl| after rounding, so a member of O(1,3) stored
         # in floating point has a residual up to a few eps max|m|^2; a fast
-        # boost has max|m| = gamma, a rotation or flip 1.  A stack is checked
-        # matrix by matrix, and its first failing matrix raises.
-        tol = GROUP_TOL * np.float_power(np.maximum(1.0, np.abs(m).max(axis=(-2, -1))), 2)
-        resid = np.abs(np.swapaxes(m, -1, -2) @ ETA @ m - ETA).max(axis=(-2, -1))
-        outside = resid > tol
+        # boost has max|m| = gamma, a rotation or flip 1.  So the check runs
+        # in units of s = max(1, max|m|): m/s, whose products cannot overflow,
+        # against eta/s^2, to GROUP_TOL.  A stack is checked matrix by matrix,
+        # and its first failing matrix raises.
+        s = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))[..., None, None]
+        unit = m / s
+        resid = np.abs(np.swapaxes(unit, -1, -2) @ ETA @ unit - ETA / s / s).max(axis=(-2, -1))
+        outside = ~(resid <= GROUP_TOL)  # a residual that is not finite fails
         if outside.any():
-            i = _first(outside)
-            raise InvariantViolation(
-                f"matrix is not in O(1,3): metric residual {np.ravel(resid)[i]:.3e} exceeds {np.ravel(tol)[i]:.1e}"
-            )
+            raise InvariantViolation(f"matrix is not in O(1,3): metric residual {np.ravel(resid)[_first(outside)]:.3e} "
+                                     f"in units of max(1, max|m|)^2 exceeds {GROUP_TOL:.1e}")
         object.__setattr__(self, "entries", m)
 
     @property

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 FARADAY_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,15 @@ class FieldSet:
 
     def __post_init__(self) -> None:
         e, b = _stack("FieldSet", (self.E, (3,), complex, "E"), (self.B, (3,), complex, "B"), at=self.at)
-        omega, k = np.asarray(self.at.omega), self.at.kvec
-        resid = np.abs(omega[..., None] * b - _cross(k, e)).max(axis=-1)
-        scale = abs(omega) * np.abs(b).max(axis=-1) + np.abs(k).max(axis=-1) * np.abs(e).max(axis=-1)
-        off = resid > FARADAY_TOL * scale
+        # omega and k in units of 8 max(|omega|, |k|), so that for finite fields every product, difference and
+        # modulus below stays within float range; the scale is max|omega B| + max|k| max|E| in those units
+        omega, k = np.asarray(self.at.omega)[..., None], self.at.kvec
+        unit = 8.0 * np.maximum(np.maximum(abs(omega), abs(k).max(axis=-1, keepdims=True)), _TINY)
+        omega, k = omega / unit, k / unit
+        wb = omega * b
+        resid = np.abs(wb - _cross(k, e)).max(axis=-1)
+        scale = np.abs(wb).max(axis=-1) + np.abs(abs(k).max(axis=-1, keepdims=True) * e).max(axis=-1)
+        off = ~(resid <= FARADAY_TOL * scale)  # a residual that is not finite fails
         if off.any():
             i = _first(off)
             raise InvariantViolation(

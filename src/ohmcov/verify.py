@@ -86,10 +86,12 @@ def rel_error(a, b, floor: float = ABS_FLOOR) -> float:
 
 
 def _rel_errors(a: np.ndarray, b: np.ndarray, floor: float = ABS_FLOOR) -> np.ndarray:
-    """rel_error of a[i] and b[i] for each i of a leading batch axis."""
+    """rel_error of a[i] and b[i] for each i of a leading batch axis; NaN, which fails a suite, where a magnitude
+    overflows, as a scale of inf would pass any difference."""
     axes = tuple(range(1, a.ndim))
-    scale = np.maximum(np.maximum(np.abs(a).max(axis=axes), np.abs(b).max(axis=axes)), floor)
-    return np.abs(a - b).max(axis=axes) / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(np.maximum(np.abs(a).max(axis=axes), np.abs(b).max(axis=axes)), floor)
+        return np.where(np.isfinite(scale), np.abs(a - b).max(axis=axes) / scale, np.nan)
 
 
 def _uniform(low: float, high: float, u):
@@ -327,11 +329,10 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 
 def _continuity_residual(omega, kvec, rho, jvec) -> np.ndarray:
-    lhs = omega * rho
-    rhs = _dots(kvec, jvec)
-    # scale by the terms entering the cancellation, not by the result
-    denom = abs(omega) * _modulus(rho) + _dots(abs(kvec), abs(jvec)) + ABS_FLOOR
-    return _modulus(lhs - rhs) / denom
+    # scale by the terms entering the cancellation, not by the result; NaN where they overflow, as in _rel_errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = abs(omega) * _modulus(rho) + _dots(abs(kvec), abs(jvec)) + ABS_FLOOR
+        return np.where(np.isfinite(denom), _modulus(omega * rho - _dots(kvec, jvec)) / denom, np.nan)
 
 
 def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:

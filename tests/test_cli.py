@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +197,16 @@ def test_transform_overflowing_point_prints_one_error_line(tmp_path, capsys):
         capsys, "transform", f"--model={path}", "--velocity=0.1,0,0", "--omega=1e308", "--k=1e308,0,0"
     )
     assert (code, out, err) == (2, "", "error: response kernel entries must be finite\n")
+
+
+def test_ohm_overflowing_point_passes_the_faraday_check(capsys):
+    """At omega = |k| = |E| = 1e300, k x E = 0 and Faraday's law holds.  Its check runs in scaled units, so it
+    passes without a numpy warning (an error under this suite's filter)."""
+    drude = Path(__file__).parent / "golden" / "drude.json"
+    code, out, err = run_cli(capsys, "ohm", f"--model={drude}", "--velocity=0.1,0,0", "--omega=1e300",
+                             "--k=1e300,0,0", "--E=1e300,0,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["omega"] == 1e300
 
 
 # -- output rendering ----------------------------------------------------------
@@ -387,6 +399,48 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
         code, _, err = run_cli(capsys, command, "--config", str(cfg))
         assert code == 2, config
         assert word in err
+
+
+# JSON values for a 3-vector field: numbers, bools and integers beyond float range, alone, in lists of any length,
+# or as [re, im] pairs in lists
+JSON_SCALARS = st.one_of(st.booleans(), st.floats(), st.integers(-(2**60), 2**60),
+                         st.integers(2**1024, 2**1100).flatmap(lambda n: st.sampled_from([n, -n])))
+JSON_ENTRIES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, min_size=2, max_size=2))
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_ENTRIES, max_size=5),
+                        st.lists(JSON_ENTRIES, min_size=3, max_size=3))
+
+
+def call_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@given(value=JSON_VALUES)
+def test_config_and_model_fields_share_their_rules(value):
+    """A 3-vector from a config file (velocity, an entry of grid.k) and from a model file (a tabulated sample's k)
+    is accepted or refused alike, and a refusal exits 2 naming the field's location, with the same rest of message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "m.json").write_text(json.dumps(DRUDE_DOC))
+        sample = {"omega": 1.0, "k": value, "sigma": IDENTITY}
+        (tmp / "t.json").write_text(json.dumps({"type": "tabulated", "samples": [sample]}))
+        point = {"model": "m.json", "grid": {"omega": [1.0], "k": [[0.0, 0.0, 0.0]]}}
+        routes = [  # (location of the field, config file name and document, or None for the model file)
+            (f"{tmp / 'v.json'}['velocity']", ("v.json", {**point, "velocity": value})),
+            (f"{tmp / 'k.json'}['grid']['k'][0]", ("k.json", {**point, "grid": {"omega": [1.0], "k": [value]}})),
+            (f"{tmp / 't.json'}.samples[0].k", None),
+        ]
+        refusals = []
+        for where, config in routes:
+            if config:
+                (tmp / config[0]).write_text(json.dumps(config[1]))
+            argv = [f"--config={tmp / config[0]}"] if config else [f"--model={tmp / 't.json'}", *POINT]
+            code, err = call_main(["transform", *argv])
+            refused = err.startswith(f"error: {where}")
+            assert code == 2 or not refused
+            refusals.append(err[len(f"error: {where}"):] if refused else None)
+    assert refusals[0] == refusals[1] == refusals[2]
 
 
 POINT = ["--omega=1", "--k=0,0,0"]

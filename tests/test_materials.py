@@ -149,6 +149,15 @@ def test_tabulated_picks_nearest_k_column():
     np.testing.assert_array_equal(out, np.eye(3))
 
 
+def test_tabulated_nearest_k_beyond_float_range():
+    """A distance to a k column beyond float range reads inf, never nearer than a finite one, and numpy does not warn
+    (an error under this suite's filter)."""
+    far = np.array([1e308, 0.0, 0.0])
+    model = Tabulated([(Wavevector4(1.0, np.zeros(3)), np.eye(3)), (Wavevector4(1.0, far), 9.0 * np.eye(3))],
+                      interpolation="nearest")
+    np.testing.assert_array_equal(model.evaluate(Wavevector4(1.0, -far)), np.eye(3))
+
+
 def test_tabulated_nodes_are_read_only():
     """A write through the public samples raises, so evaluate, == and the
     saved document keep describing the same table."""

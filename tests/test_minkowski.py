@@ -85,6 +85,9 @@ def test_boost_speed_limit():
     with pytest.raises(SpeedLimit):
         boost_matrix(np.array([SI.c, 0.0, 0.0]), SI)
     boost_matrix(np.array([0.5 * SI.c, 0.0, 0.0]), SI)
+    # |v|^2 beyond float range is over the limit too, without a numpy warning (an error under this suite's filter)
+    with pytest.raises(SpeedLimit):
+        boost_matrix(np.array([0.0, 0.0, 1.35e154]))
 
 
 def test_boost_params_gamma_and_spatial_block(rng):
@@ -133,6 +136,17 @@ def test_lorentz_matrix_rejects_non_group():
         LorentzMatrix(2.0 * np.eye(4))
     with pytest.raises(InvariantViolation):
         LorentzMatrix(np.eye(3))
+
+
+def test_lorentz_matrix_check_does_not_overflow():
+    """The metric residual is taken in units of max(1, max|m|), so a matrix whose m^T eta m overflows is rejected,
+    without a numpy warning (an error under this suite's filter), as a smaller one is."""
+    for big in (1e10, 1e200, 1e308):
+        with pytest.raises(InvariantViolation, match="not in O"):
+            LorentzMatrix(np.diag([big, 1.0, 1.0, 1.0]))
+    with pytest.raises(InvariantViolation, match="not in O"):
+        LorentzMatrix(np.stack([np.eye(4), np.diag([1.0, 1e200, 1.0, 1.0])]))
+    LorentzMatrix(boost_matrix(np.array([1.0 - 1e-10, 0.0, 0.0])).entries)  # gamma about 7e4 still passes
 
 
 def test_proper_orthochronous_flags():

@@ -76,6 +76,16 @@ def test_field_set_rejects_broken_faraday(rng):
         FieldSet(fields.E, fields.B + np.array([0.0, 0.0, 1.0]), kw)
 
 
+def test_field_set_faraday_check_does_not_overflow():
+    """The Faraday check runs in units of the point's largest entry, so at omega B = k x E = 1e310 a consistent B
+    passes and an inconsistent one fails, without a numpy warning (an error under this suite's filter)."""
+    kw = Wavevector4(1e300, np.array([1e300, 0.0, 0.0]))
+    e = np.array([0.0, 1e10 + 1e10j, 0.0])
+    FieldSet(e, np.array([0.0, 0.0, 1e10 + 1e10j]), kw)
+    with pytest.raises(InvariantViolation, match="omega B != k x E"):
+        FieldSet(e, np.array([0.0, 1e10 + 1e10j, 0.0]), kw)
+
+
 def test_fields_from_electric():
     kw = Wavevector4(2.0, np.array([0.0, 1.0, 0.0]))
     evec = np.array([3.0, 0.0, 0.0], dtype=complex)

@@ -277,14 +277,15 @@ def test_fast_boosts_up_to_speed_margin(rng):
 REFERENCE_RTOL = 1e-13
 
 
-def reference_errors(s: FrameSample, v: np.ndarray) -> list[float]:
+def reference_errors(s: FrameSample, v: np.ndarray, c: float = 1.0) -> list[float]:
     """rel_error of sigma' and of (omega'/c, k') from boost_sigma_direct, then from transform_sigma_oracle, against
-    the reference boost law (c = 1)."""
-    sigma_p, omega_p, k_p = reference.boost(s.sigma, s.at.omega, s.at.kvec, v)
-    want = Wavevector4(omega_p, k_p).four()
+    the reference boost law."""
+    units = UnitsConfig(c)
+    sigma_p, omega_p, k_p = reference.boost(s.sigma, s.at.omega, s.at.kvec, v, c)
+    want = Wavevector4(omega_p, k_p).four(units)
     errors = []
-    for got in (boost_sigma_direct(s, v), transform_sigma_oracle(s, boost_matrix(v))):
-        errors += [rel_error(got.sigma, sigma_p), rel_error(got.at.four(), want)]
+    for got in (boost_sigma_direct(s, v, units), transform_sigma_oracle(s, boost_matrix(v, units), units)):
+        errors += [rel_error(got.sigma, sigma_p), rel_error(got.at.four(units), want)]
     return errors
 
 
@@ -293,6 +294,17 @@ def test_boost_routes_match_the_reference(rng):
     for _ in range(200):
         kw, v = guarded_setup(rng, vmax=0.9)
         worst = max(worst, *reference_errors(FrameSample(rand_sigma(rng), kw), v))
+    assert worst <= REFERENCE_RTOL
+
+
+@pytest.mark.parametrize("c", [2.0, 299792458.0])
+def test_boost_routes_match_the_reference_at_c(rng, c):
+    """The c = 1 test's draw with omega and v scaled by c: v.k/omega and |v|/c are distributed exactly as there."""
+    worst = 0.0
+    for _ in range(200):
+        kw, v = guarded_setup(rng, vmax=0.9)
+        s = FrameSample(rand_sigma(rng), Wavevector4(kw.omega * c, kw.kvec))
+        worst = max(worst, *reference_errors(s, v * c, c))
     assert worst <= REFERENCE_RTOL
 
 

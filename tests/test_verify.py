@@ -489,3 +489,18 @@ def test_no_wavevector4_per_drawn_point(monkeypatch):
     monkeypatch.setattr(verify, "_point", lambda rng, lead: (np.nan, np.zeros(3)))
     with pytest.raises(InvariantViolation, match="omega entries must be finite"):
         verify.sample_point(np.random.default_rng(0))
+
+
+def test_overflowing_magnitudes_fail_the_checks():
+    """A magnitude that overflows makes the scale of _rel_errors or of the continuity residual inf, against which any
+    difference would read 0: the residual is NaN instead, which fails a suite, and numpy does not warn."""
+    a, b = np.array([[1.5e308 + 1.5e308j]]), np.array([[1.5e308 + 1.4e308j]])  # |a| is beyond float range
+    assert np.isnan(verify._rel_errors(a, b)).all() and math.isnan(verify.rel_error(a[0], b[0]))
+    assert np.isnan(verify._rel_errors(a, a.copy())).all()  # equal, but at a scale nothing can be measured on
+    residual = verify._continuity_residual(np.array([0.5]), np.zeros((1, 3)), np.array([1.5e308 + 1.5e308j]),
+                                           np.zeros((1, 3), dtype=complex))
+    assert np.isnan(residual).all()
+    assert not verify.SuiteResult("continuity", 1, float(np.max(residual)), 1e-12, 0.0).passed
+    # finite scales keep their bits
+    x, y = np.array([[1.0 + 2.0j, 3.0]]), np.array([[1.0 + 2.5j, 3.0]])
+    assert verify._rel_errors(x, y).tolist() == [0.5 / 3.0]

@@ -394,7 +394,7 @@ def cmd_ohm(args) -> int:
     except DomainError as exc:
         raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
 
-    s0 = complex(np.trace(sigma_p)) / 3.0
+    s0 = complex(np.trace(sigma_p / 3.0))  # a third of each entry: the sum stays finite for finite sigma'
     iso_defect = float(np.max(np.abs(sigma_p - s0 * np.eye(3))))
     scalar = iso_defect <= ISOTROPY_RTOL * max(abs(s0), 1e-14)
     if args.textbook and not scalar:

@@ -83,8 +83,7 @@ class MaterialModel:
 
 
 def _drude(sigma0: complex, tau: float, omega: np.ndarray) -> np.ndarray:
-    # Python's complex division, point by point: numpy's rounds differently
-    return np.array([sigma0 / (1.0 - 1j * w * tau) for w in omega.tolist()], dtype=complex)
+    return sigma0 / (1.0 - 1j * omega * tau)
 
 
 @dataclass(frozen=True)

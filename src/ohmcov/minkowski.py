@@ -187,7 +187,8 @@ class Wavevector4:
 
     def minkowski_norm(self, units: UnitsConfig = NATURAL) -> float:
         """-omega^2/c^2 + |k|^2, or (N,) of them; invariant under every Lorentz transform."""
-        norm = -np.float_power(self.omega / units.c, 2) + _dots(self.kvec, self.kvec)
+        w = self.omega / units.c
+        norm = -(w * w) + _dots(self.kvec, self.kvec)
         return norm if np.ndim(norm) else float(norm)
 
     def __eq__(self, other: object) -> bool:
@@ -227,8 +228,8 @@ class BoostParams:
         if over.any():
             speed = float(np.ravel(speed)[_first(over)])
             raise SpeedLimit(f"|v| = {speed!r} is at or above the speed of light c = {c!r}")
-        # float_power is libm's pow, as Python's ** on a float; numpy's ** squares
-        gamma = 1.0 / np.sqrt(1.0 - np.float_power(speed / c, 2))
+        beta = speed / c
+        gamma = 1.0 / np.sqrt(1.0 - beta * beta)
         # at rest gamma - 1 = 0, so a unit denominator leaves Lhat the identity
         lhat = np.eye(3) + _mat(gamma - 1.0) * _outer(v, v) / _mat(np.where(speed > 0.0, speed * speed, 1.0))
         object.__setattr__(self, "v", v)

@@ -27,7 +27,7 @@ from .errors import InvariantViolation
 from .minkowski import (
     NATURAL, UnitsConfig, Wavevector4, _boost, _broadcast, _checked, _cross, _dots, _first, _shared, _stack,
 )
-from .response import PotentialSet, _real_quotient, require_dynamic
+from .response import PotentialSet, require_dynamic
 from .transform import projector_inverse
 
 __all__ = [
@@ -105,7 +105,7 @@ def induced_charge(sigma: np.ndarray, evec, kw: Wavevector4) -> complex:
     require_dynamic(kw.omega)
     _broadcast("induced_charge", ("conductivity", np.shape(sigma)[:-2]), ("E", np.shape(evec)[:-1]),
                ("at", kw.kvec.shape[:-1]))
-    rho = _real_quotient(_dots(kw.kvec, ohm_current(sigma, evec)), kw.omega)
+    rho = _dots(kw.kvec, ohm_current(sigma, evec)) / kw.omega
     return rho if rho.ndim else complex(rho)
 
 
@@ -149,7 +149,7 @@ def generalized_ohm(
     drift = np.asarray(bp.gamma)[..., None] * (lhat_inv @ sigma @ lhat_inv @ emf[..., None])[..., 0]
     # arguments swapped on purpose: this inverts (1 - v k^T/omega), which relates j to the drift combination
     jvec = (projector_inverse(bp.v, k, omega) @ drift[..., None])[..., 0]
-    return OhmResult(drift_current=drift, jvec=jvec, rho=_real_quotient(_dots(k, jvec), omega))
+    return OhmResult(drift_current=drift, jvec=jvec, rho=_dots(k, jvec) / omega)
 
 
 def textbook_ohm(

@@ -58,16 +58,6 @@ def _static(omega: np.ndarray) -> tuple:
     return abs(omega) < STATIC_OMEGA_FLOOR, lambda i: require_dynamic(float(omega[i]))
 
 
-def _real_quotient(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """z / x for complex z and nonzero real x, rounded as Python's complex
-    division rounds it; numpy's multiplies by 1/x instead."""
-    ratio = 0.0 / x
-    out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(x)), dtype=complex)
-    out.real = (z.real + z.imag * ratio) / x
-    out.imag = (z.imag - z.real * ratio) / x
-    return out
-
-
 def chi_from_sigma(sigma: np.ndarray, omega: float) -> np.ndarray:
     """Spatial response block chi = i omega sigma."""
     require_dynamic(omega)
@@ -118,8 +108,7 @@ def _reconstruct(chi: np.ndarray, omega: np.ndarray, k: np.ndarray, units: Units
     ratio = (units.c / omega)[..., None]
     chi_k = chi @ k[..., :, None]
     full = np.empty(chi.shape[:-2] + (4, 4), dtype=complex)
-    # float_power is libm's pow, as Python's ** on a float; numpy's ** squares
-    full[..., :1, 0] = -np.float_power(ratio, 2) * (k[..., None, :] @ chi_k)[..., 0]
+    full[..., :1, 0] = -(ratio * ratio) * (k[..., None, :] @ chi_k)[..., 0]
     full[..., :1, 1:] = ratio[..., :, None] * (k[..., None, :] @ chi)
     full[..., 1:, :1] = -ratio[..., :, None] * chi_k
     full[..., 1:, 1:] = chi
@@ -159,7 +148,7 @@ class PotentialSet:
 
     def four(self, units: UnitsConfig = NATURAL) -> np.ndarray:
         """Contravariant components (phi/c, A)."""
-        return np.concatenate((_real_quotient(self.phi, units.c)[..., None], self.avec), axis=-1)
+        return np.concatenate(((np.asarray(self.phi) / units.c)[..., None], self.avec), axis=-1)
 
 
 @dataclass(frozen=True)

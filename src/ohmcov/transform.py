@@ -69,12 +69,13 @@ def resonance_width(omega, v_dot_k):
 
 
 def _resonance(omega: np.ndarray, v_dot_k: np.ndarray) -> tuple:
-    """The resonance check for N points: the points inside the band and the error of point i."""
+    """The resonance check for N points: the points inside the band and the error of point i.  A v.k that is not
+    finite is no resonance: it makes the result non-finite, which the result's checks reject."""
     def replay(i: int) -> None:
         w, vk = float(omega[i]), float(v_dot_k[i])
         raise BoostResonance(f"omega - v.k = {w - vk!r} lies inside the resonance band at omega = {w!r}")
 
-    return abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k), replay
+    return (abs(omega - v_dot_k) <= resonance_width(omega, v_dot_k)) & np.isfinite(v_dot_k), replay
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,10 @@ def projector_inverse(kvec: np.ndarray, v: np.ndarray, omega: float) -> np.ndarr
     k = np.asarray(kvec, dtype=float)
     vv = np.asarray(v, dtype=float)
     _broadcast("projector_inverse", ("kvec", k.shape[:-1]), ("velocity", vv.shape[:-1]), ("omega", np.shape(omega)))
-    v_dot_k = _dots(vv, k)
-    _raise([_resonance(np.atleast_1d(omega), np.atleast_1d(v_dot_k))])
-    return _projector_inverse(k, vv, omega - v_dot_k)
+    with np.errstate(over="ignore", invalid="ignore"):  # a v.k beyond float range makes the result non-finite
+        v_dot_k = _dots(vv, k)
+        _raise([_resonance(np.atleast_1d(omega), np.atleast_1d(v_dot_k))])
+        return _projector_inverse(k, vv, omega - v_dot_k)
 
 
 def _projector_inverse(kvec: np.ndarray, v: np.ndarray, gap) -> np.ndarray:
@@ -171,8 +173,8 @@ def _frame_faults(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray) -> list:
 # _frame_faults makes.  The boost is one boost for every point or a stack of N, one per point (BoostParams of
 # (N, 3) velocities, a stack of N matrices).  Stacks round as N = 1 would.
 def _direct(sigma, omega, k, bp: BoostParams) -> tuple:
-    v_dot_k = _dots(k, bp.v)
-    with np.errstate(all="ignore"):  # resonant points divide by zero; the faults flag them
+    with np.errstate(all="ignore"):  # resonant points divide by zero, and v.k may overflow; the faults flag them
+        v_dot_k = _dots(k, bp.v)
         left = np.eye(3) - _outer(bp.v, k) / omega[:, None, None]
         right = np.eye(3) - _outer(k, bp.v) / omega[:, None, None]
         prefactor = 1.0 / (bp.gamma * (1.0 - v_dot_k / omega))
@@ -205,8 +207,8 @@ def boost_sigma_inverse(
 def _inverse(sigma_p, omega, k, bp: BoostParams) -> tuple:
     """sigma' at the boosted points and the unprimed points omega, k in;
     sigma at omega, k out."""
-    v_dot_k = _dots(k, bp.v)
-    with np.errstate(all="ignore"):  # static and resonant points divide by zero; the faults flag them
+    with np.errstate(all="ignore"):  # static and resonant points divide by zero, v.k may overflow; the faults flag them
+        v_dot_k = _dots(k, bp.v)
         # roles swapped on purpose: this inverts (1 - v k^T/omega)
         left_inv = _projector_inverse(bp.v, k, omega - v_dot_k)
         lhat_inv = bp.lambda_hat_inv

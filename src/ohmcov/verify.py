@@ -323,16 +323,11 @@ def gauge_invariance_suite(rng: np.random.Generator, n: int, units: UnitsConfig 
     return _suite("gauge_invariance", n, 1e-13, draw, residuals)
 
 
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| as Python's abs(complex) rounds it: hypot; numpy's abs differs in the last bit."""
-    return np.hypot(z.real, z.imag)
-
-
 def _continuity_residual(omega, kvec, rho, jvec) -> np.ndarray:
     # scale by the terms entering the cancellation, not by the result; NaN where they overflow, as in _rel_errors
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = abs(omega) * _modulus(rho) + _dots(abs(kvec), abs(jvec)) + ABS_FLOOR
-        return np.where(np.isfinite(denom), _modulus(omega * rho - _dots(kvec, jvec)) / denom, np.nan)
+        denom = abs(omega) * abs(rho) + _dots(abs(kvec), abs(jvec)) + ABS_FLOOR
+        return np.where(np.isfinite(denom), abs(omega * rho - _dots(kvec, jvec)) / denom, np.nan)
 
 
 def continuity_suite(rng: np.random.Generator, n: int, units: UnitsConfig = NATURAL) -> SuiteResult:

@@ -2,10 +2,8 @@
 
 Every public function takes one point or a stack of N, so a stack must
 reproduce N separate calls bit for bit and raise the first one's error;
-the sweep's kernels must also fail at the same points.  Both must round
-exactly as the single-point formulas they replaced, which fixed the
-recorded CLI outputs.  The sweep runs the kernels in blocks and must match
-the point-by-point loop across block edges.
+the sweep's kernels must also fail at the same points.  The sweep runs the
+kernels in blocks and must match the point-by-point loop across block edges.
 """
 
 import csv
@@ -56,7 +54,6 @@ from ohmcov import (
     gauge_shift,
     generalized_ohm,
     induced_charge,
-    inverse,
     ohm_current,
     projector_inverse,
     reconstruct_full,
@@ -69,7 +66,6 @@ from ohmcov import (
 )
 from ohmcov import cli, materials
 from ohmcov.verify import rel_error
-from ohmcov.response import _reconstruct
 from ohmcov.transform import _direct, _flagged, _frame_faults, _inverse, _oracle, _raise
 
 from conftest import rand_unit
@@ -481,106 +477,6 @@ def test_single_point_functions_refuse_a_stack(call, name):
     with pytest.raises(InvariantViolation) as info:
         call()
     assert str(info.value) == f"{name} takes one point, not a stack of 3"
-
-
-def scalar_kernel(chi, omega, k, c):
-    """The single-point reconstruct_full arithmetic the kernels replaced."""
-    ratio = c / omega
-    chi_k = chi @ k
-    full = np.empty((4, 4), dtype=complex)
-    full[0, 0] = -(ratio**2) * (k @ chi_k)
-    full[0, 1:] = ratio * (k @ chi)
-    full[1:, 0] = -ratio * chi_k
-    full[1:, 1:] = chi
-    return full
-
-
-def scalar_laws(sigma, omega, k, bp, lam):
-    """The single-point arithmetic of the direct law, the oracle and the
-    wave-vector map that the kernels replaced: (direct sigma', oracle
-    sigma', omega', k')."""
-    c = bp.units.c
-    four = lam.entries @ np.concatenate(([omega / c], k))
-    omega_p, k_p = c * four[0], four[1:]
-    v_dot_k = float(bp.v @ k)
-    left = np.eye(3) - np.outer(bp.v, k) / omega
-    right = np.eye(3) - np.outer(k, bp.v) / omega
-    prefactor = 1.0 / (bp.gamma * (1.0 - v_dot_k / omega))
-    direct = prefactor * (bp.lambda_hat @ left @ sigma @ right @ bp.lambda_hat)
-    primed = lam.entries @ scalar_kernel(1j * omega * sigma, omega, k, c) @ inverse(lam).entries
-    return direct, primed[1:, 1:] / (1j * omega_p), omega_p, k_p
-
-
-@pytest.mark.parametrize("c", [1.0, 2.0])
-def test_kernels_round_as_the_scalar_code(rng, c):
-    """Bit for bit against the single-point arithmetic, which fixed the
-    recorded CLI outputs; numpy's own x**2, complex division, K @ v and
-    einsum each round differently from it somewhere in a few thousand points."""
-    units = UnitsConfig(c)
-    n = 4000
-    v = 0.8 * c * rand_unit(rng)
-    omega = rng.uniform(0.05, 10.0, n) * rng.choice([-1.0, 1.0], n) * c
-    k = rng.uniform(-5.0, 5.0, (n, 3))
-    sigma = random_sigma(rng, n)
-    bp = BoostParams(v, units)
-    lam = bp.matrix()
-    direct = _direct(sigma, omega, k, bp)
-    oracle = _oracle(sigma, omega, k, lam, units)
-    full = _reconstruct(sigma, omega, k, units)
-    ok = ~_flagged(direct[3] + oracle[3])
-    assert ok.sum() > 0.99 * n
-    for i in np.flatnonzero(ok):
-        ref = scalar_laws(sigma[i], float(omega[i]), k[i], bp, lam)
-        for got, want in zip((direct[0][i], oracle[0][i], direct[1][i], direct[2][i]), ref):
-            assert_same_bits(got, np.asarray(want))
-        assert_same_bits(full[i], scalar_kernel(sigma[i], float(omega[i]), k[i], c))
-
-
-def scalar_ohm_laws(sigma, s0, e, phi, avec, omega, k, v, c):
-    """The single-point arithmetic of BoostParams, the field, current and
-    moving-medium functions, in Python floats and complex numbers where the
-    replaced code had them."""
-    speed = float(np.sqrt(v @ v))
-    gamma = float(1.0 / np.sqrt(1.0 - (speed / c) ** 2))
-    lhat_inv = np.eye(3) + (1.0 / gamma - 1.0) * np.outer(v, v) / float(v @ v) if speed > 0.0 else np.eye(3)
-    b = np.cross(k, e) / omega
-    emf = e + np.cross(v, b)
-    drift = gamma * (lhat_inv @ sigma @ lhat_inv @ emf)
-    jvec = (np.eye(3) + np.outer(v, k) / (omega - float(k @ v))) @ drift
-    beta = v / c
-    textbook = gamma * complex(s0) * (emf - beta * (beta @ e))
-    pot_e = -1j * k * phi + 1j * omega * avec
-    four = np.concatenate(([phi / c], avec))
-    return (gamma, b, drift, jvec, complex(k @ jvec) / omega, textbook, pot_e, 1j * np.cross(k, avec),
-            complex(k @ (sigma @ e)) / omega, four)
-
-
-@pytest.mark.parametrize("c", [1.0, 299_792_458.0])
-def test_ohm_kernels_round_as_the_scalar_code(rng, c):
-    """Bit for bit against the single-point arithmetic, which fixed the
-    recorded ohm outputs; numpy's complex division by a real rounds
-    differently from Python's somewhere in a few thousand points."""
-    units = UnitsConfig(c)
-    n = 3000
-    v = velocities(rng, c, n)
-    v[0] = 0.0
-    omega = rng.uniform(0.05, 10.0, n) * rng.choice([-1.0, 1.0], n) * c
-    k = rng.uniform(-5.0, 5.0, (n, 3))
-    k[1] = [0.0, -0.0, 0.0]
-    sigma, e, avec = random_sigma(rng, n), random_sigma(rng, n)[:, 0], random_sigma(rng, n)[:, 1]
-    s0, phi = sigma[:, 1, 1], sigma[:, 2, 2]
-    bp = BoostParams(v, units)
-    kw = Wavevector4(omega, k)
-    fields = fields_from_electric(e, kw)
-    gen = generalized_ohm(sigma, bp, fields, units)
-    pot = PotentialSet(phi, avec, kw)
-    potential = fields_from_potential(pot)
-    got = (bp.gamma, fields.B, gen.drift_current, gen.jvec, gen.rho, textbook_ohm(s0, bp, fields, units),
-           potential.E, potential.B, induced_charge(sigma, e, kw), pot.four(units))
-    for i in range(n):
-        ref = scalar_ohm_laws(sigma[i], s0[i], e[i], complex(phi[i]), avec[i], float(omega[i]), k[i], v[i], c)
-        for a, want in zip(got, ref):
-            assert_same_bits(a[i], np.asarray(want))
 
 
 def tabulated(interpolation):

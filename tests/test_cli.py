@@ -209,6 +209,27 @@ def test_ohm_overflowing_point_passes_the_faraday_check(capsys):
     assert json.loads(out)["omega"] == 1e300
 
 
+def test_ohm_scalar_conductivity_beyond_a_third_of_float_range_keeps_its_textbook_outputs(tmp_path, capsys):
+    """sigma0 = 7e307 puts the trace of sigma' beyond float range; its isotropy test takes s0 from sigma'/3, so
+    the textbook outputs are printed, without a numpy warning (an error under this suite's filter)."""
+    path = model_path(tmp_path, ConstantScalar(7e307))
+    code, out, err = run_cli(capsys, "ohm", f"--model={path}", "--velocity=0,0.6,0", "--omega=1", "--k=1,0,0",
+                             "--E=1e-300,0,0")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["textbook"]["drift"] == record["drift"] == [[8.75e7, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("argv", [["transform", "--omega=1", "--k=1e301,-1e301,0"],
+                                  ["sweep", "--omega=1,2", "--k=1,0,0;1e301,-1e301,0"]])
+def test_overflowing_v_dot_k_is_no_resonance(capsys, argv):
+    """v.k overflows to -inf here.  That is no resonance: the boosted conductivity is not finite, which its check
+    rejects, as for a NaN v.k, without a numpy warning (an error under this suite's filter)."""
+    drude = Path(__file__).parent / "golden" / "drude.json"
+    code, out, err = run_cli(capsys, argv[0], f"--model={drude}", "--c=299792458", "--velocity=2e8,2e8,0", *argv[1:])
+    assert (code, out, err) == (2, "", "error: conductivity entries must be finite\n")
+
+
 # -- output rendering ----------------------------------------------------------
 
 # A record's row is its leaves' values in column order; each case builds the record that row stands for, in the

@@ -7,16 +7,20 @@ The cases run in process with ``tests/golden`` as the working directory,
 so model and config paths in ``cases.json`` are relative to it.
 ``PYTHONPATH=src python tests/test_golden.py`` records the cases that have
 no ``.stdout`` file yet and leaves every recorded case alone, so adding
-cases cannot silently re-record the others.  To record a case again after
-a deliberate output change, delete its ``.stdout`` and ``.stderr`` files
-first.
+cases cannot silently re-record the others.  For each recorded case whose
+output now differs it prints the drift: the largest relative change over
+the numbers in its stdout and stderr, and whether any other text changed.
+To record a case again after a deliberate output change, delete its
+``.stdout`` and ``.stderr`` files first.
 """
 
 import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -72,9 +76,38 @@ def test_golden_json_is_the_standard_librarys_bytes(name):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
+NUMBER = re.compile(r"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf(?:inity)?|nan))", re.IGNORECASE)
+
+
+def drift(old: str, new: str) -> tuple[float, bool]:
+    """The largest relative change between the numbers of old and new, taken in turn, and whether the text between
+    them, or how many there are, changed."""
+    old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
+    if old_parts[::2] != new_parts[::2]:
+        return math.nan, True
+    largest = 0.0
+    for a, b in zip(map(float, old_parts[1::2]), map(float, new_parts[1::2])):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+    return largest, False
+
+
+def comparable(argv, stdout: bytes) -> str:
+    """stdout as test_golden_output compares it: verify's without its timing."""
+    return repr(without_seconds(stdout)) if argv[0] == "verify" else stdout.decode()
+
+
 if __name__ == "__main__":
     for name, case in sorted(CASES.items()):
         if (GOLDEN / f"{name}.stdout").exists():
+            code, stdout, stderr = run_case(case["argv"])
+            old = comparable(case["argv"], (GOLDEN / f"{name}.stdout").read_bytes())
+            old += (GOLDEN / f"{name}.stderr").read_text()
+            new = comparable(case["argv"], stdout) + stderr.decode()
+            if new != old or code != case["exit"]:
+                largest, text = drift(old, new)
+                print(f"{name}: largest relative change {largest:.3g}; "
+                      f"{'other text or exit code changed' if text or code != case['exit'] else 'no other text changed'}")
             continue
         code, stdout, stderr = run_case(case["argv"])
         if code != case["exit"]:

@@ -11,6 +11,7 @@ from ohmcov import (
     TIME_FLIP,
     BoostResonance,
     FrameSample,
+    InvariantViolation,
     NotOrthogonal,
     SpeedLimit,
     StaticFrequency,
@@ -230,6 +231,18 @@ def test_oracle_hits_resonance():
     near = FrameSample(np.eye(3, dtype=complex), Wavevector4(1.0 + 1e-12, np.array([2.0, 0.0, 0.0])))
     with pytest.raises(BoostResonance, match="omega'"):
         transform_sigma_oracle(near, boost_matrix(np.array([0.5, 0.0, 0.0])))
+
+
+def test_overflowing_v_dot_k_is_no_resonance():
+    """v.k overflows here.  No kernel reports that as a resonance or warns (an error under this suite's filter):
+    the result is not finite, and a FrameSample's check rejects it."""
+    units = UnitsConfig(299_792_458.0)
+    v, k = np.array([2e8, 2e8, 0.0]), np.array([1e301, -1e301, 0.0])
+    assert not np.isfinite(projector_inverse(k, v, 1.0)).all()
+    s = FrameSample(np.eye(3, dtype=complex), Wavevector4(1.0, k))
+    for boost in (lambda: boost_sigma_direct(s, v, units), lambda: boost_sigma_inverse(s, v, s.at, units)):
+        with pytest.raises(InvariantViolation, match="conductivity entries must be finite"):
+            boost()
 
 
 def test_oracle_rejects_a_static_boosted_frequency():

@@ -142,9 +142,17 @@ def test_report_bits_are_recorded(seed):
 
 
 # One sha256 of the report rows at 1000 samples over the seeds below, the
-# 40-seed domain README and ROADMAP cite at c = 1 among them.
+# 40-seed domain README and ROADMAP cite at c = 1 among them, and the
+# (c, seed, suite) triples that fail there, so that a new record shows
+# which ones flipped.
 DIGEST_SEEDS = {1.0: range(40), 2.0: range(5), 299_792_458.0: range(5)}
 REPORT_DIGEST = "598b0759caab6d6baae72c71f8126a338d22fcb467216b9cfe131d7e7b0d6e90"
+FAILING = {
+    *((1.0, seed, "round_trip") for seed in (1, 4, 26, 30, 32)),
+    *((1.0, seed, "ohm_covariance") for seed in (21, 24)),
+    (2.0, 1, "round_trip"),
+    *((299_792_458.0, seed, suite) for seed in range(5) for suite in ("round_trip", "ohm_covariance")),
+}
 
 
 def test_report_bits_over_forty_seeds_are_recorded():
@@ -153,6 +161,8 @@ def test_report_bits_over_forty_seeds_are_recorded():
         for c, seeds in DIGEST_SEEDS.items()
         for seed in seeds
     ]
+    keys = [(c, seed) for c, seeds in DIGEST_SEEDS.items() for seed in seeds]
+    assert {(*key, name) for key, row in zip(keys, rows) for name, _, passed in row if not passed} == FAILING
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == REPORT_DIGEST
 
 

@@ -94,7 +94,8 @@ def drift(old: str, new: str) -> tuple[float, bool]:
     largest = 0.0
     for a, b in zip(map(float, old_parts[1::2]), map(float, new_parts[1::2])):
         if a != b and not (math.isnan(a) and math.isnan(b)):
-            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+            change = abs(a - b) / max(abs(a), abs(b))
+            largest = max(largest, math.inf if math.isnan(change) else change)  # to or from inf or NaN
     return largest, False
 
 

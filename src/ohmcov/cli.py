@@ -34,8 +34,9 @@ import numpy as np
 from . import reader
 from .errors import DomainError, InvariantViolation, OhmcovError, ParseError, SpeedLimit
 from .materials import MaterialModel, _model_from_text, model_from_dict
-from .minkowski import BoostParams, UnitsConfig, Wavevector4, transform_wavevector
+from .minkowski import _EYE3, BoostParams, UnitsConfig, Wavevector4, _checked, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
+from .response import require_dynamic
 from .transform import FrameSample, boost_sigma_direct, transform_sigma_oracle
 from .transform import _direct, _flagged, _frame_faults, _oracle, _raise  # the sweep's kernels and their faults
 from .verify import _rel_errors, rel_error, run_all
@@ -260,6 +261,11 @@ def _sweep_rows(table: np.ndarray, points: np.ndarray, csv_texts) -> str:
     return "".join([omega_text[i] + k_text[j] + ",".join(map(str, row)) + "\n" for i, j, row in rows])
 
 
+def _located(exc: Exception, omega: float, k: list) -> Exception:
+    """exc, an error of a check at the requested point omega, k, as the same error naming the point."""
+    return type(exc)(f"at omega={omega!r} k={k!r}: {exc}")
+
+
 def _sweep_chunk(model, bp: BoostParams, grid, csv_texts, start: int, stop: int) -> tuple[list, list]:
     """Grid points start:stop through cmd_transform's route, a block at a time: the text of each block's kept rows
     (_sweep_rows), and the skipped points' (omega, k, reason) in grid order."""
@@ -281,6 +287,10 @@ def _sweep_chunk(model, bp: BoostParams, grid, csv_texts, start: int, stop: int)
                 except DomainError as exc:
                     skipped.append((omega[i].item(), k[i].tolist(), f"{type(exc).__name__}: {exc}"))
                     keep[i] = False
+                except InvariantViolation as exc:
+                    if point[0][i]:  # the grid point itself is not finite: an input, whose error names no point
+                        raise
+                    raise _located(exc, omega[i].item(), k[i].tolist()) from exc
             table = np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual))[keep]
             texts.append(_sweep_rows(table, lo + np.flatnonzero(keep), csv_texts))
     return texts, skipped
@@ -343,11 +353,15 @@ def cmd_transform(args) -> int:
 
     try:
         sample = FrameSample(model.evaluate(kw), kw)
-        bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
+    except (DomainError, InvariantViolation) as exc:
+        raise _located(exc, kw.omega, kw.kvec.tolist()) from exc
+    bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
+    lam = bp.matrix()
+    try:
         direct = boost_sigma_direct(sample, bp)
-        oracle = transform_sigma_oracle(sample, bp.matrix(), units)
-    except DomainError as exc:
-        raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
+        oracle = transform_sigma_oracle(sample, lam, units)
+    except (DomainError, InvariantViolation) as exc:
+        raise _located(exc, kw.omega, kw.kvec.tolist()) from exc
     residual = rel_error(direct.sigma, oracle.sigma)  # both move (k, omega) by the same code
     _write(path, [_render(fmt, _TRANSFORM, [_row(kw, direct.at, bp.gamma, sample.sigma, direct.sigma, residual)])])
     return 0
@@ -386,16 +400,22 @@ def cmd_ohm(args) -> int:
     evec = _resolve_efield(args, cfg)
 
     bp = BoostParams(v, units)
-    kw_p = transform_wavevector(bp.matrix(), kw, units)
+    lam = bp.matrix()
     try:
+        kw_p = transform_wavevector(lam, kw, units)
         sigma_p = model.evaluate(kw_p)
+        require_dynamic(kw.omega)  # fields_from_electric's first check; its next, of the input E, names no point
+    except (DomainError, InvariantViolation) as exc:
+        raise _located(exc, kw.omega, kw.kvec.tolist()) from exc
+    evec = _checked(evec, (3,), complex, "E")
+    try:
         fields = fields_from_electric(evec, kw)
         gen = generalized_ohm(sigma_p, bp, fields)
-    except DomainError as exc:
-        raise type(exc)(f"at omega={kw.omega!r} k={kw.kvec.tolist()!r}: {exc}") from exc
+    except (DomainError, InvariantViolation) as exc:
+        raise _located(exc, kw.omega, kw.kvec.tolist()) from exc
 
-    s0 = complex(np.trace(sigma_p / 3.0))  # a third of each entry: the sum stays finite for finite sigma'
-    iso_defect = float(np.max(np.abs(sigma_p - s0 * np.eye(3))))
+    s0 = complex((sigma_p / 3.0).trace())  # a third of each entry: the sum stays finite for finite sigma'
+    iso_defect = float(np.abs(sigma_p - s0 * _EYE3).max())
     scalar = iso_defect <= ISOTROPY_RTOL * max(abs(s0), 1e-14)
     if args.textbook and not scalar:
         raise ConfigError(

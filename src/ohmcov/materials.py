@@ -41,7 +41,7 @@ import numpy as np
 from . import reader
 from .errors import InvariantViolation, OutOfRange, ParseError
 from .response import _static
-from .minkowski import Wavevector4, _checked, _one_point
+from .minkowski import _EYE3, Wavevector4, _checked, _one_point
 from .transform import _raise
 
 __all__ = [
@@ -71,13 +71,17 @@ class MaterialModel:
 
     def evaluate(self, kw: Wavevector4) -> np.ndarray:
         """sigma at the point kw, (3, 3), or at each point of a stack, (N, 3, 3)."""
-        sigma = self.evaluate_batch(np.array(kw.omega, ndmin=1), kw.kvec.reshape(-1, 3))
+        sigma = self._raising(np.array(kw.omega, ndmin=1), kw.kvec.reshape(-1, 3))  # kw's values are checked
         return sigma.reshape(kw.kvec.shape[:-1] + (3, 3))
 
     def evaluate_batch(self, omega, k) -> np.ndarray:
         """The (N, 3, 3) conductivity at omega (N,), k (N, 3); raises as evaluate at the first bad point."""
         n = np.size(omega)
-        sigma, faults = self._evaluate(_checked(omega, (n,), float, "omega"), _checked(k, (n, 3), float, "kvec"))
+        return self._raising(_checked(omega, (n,), float, "omega"), _checked(k, (n, 3), float, "kvec"))
+
+    def _raising(self, omega: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """sigma at N checked points, or the error of the first point _evaluate's faults reject."""
+        sigma, faults = self._evaluate(omega, k)
         _raise(faults)
         return sigma
 
@@ -96,7 +100,7 @@ class ConstantScalar(MaterialModel):
         object.__setattr__(self, "sigma0", complex(_checked(self.sigma0, (), complex, "sigma0")))
 
     def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
-        return np.repeat((self.sigma0 * np.eye(3, dtype=complex))[None], len(omega), axis=0), [_static(omega)]
+        return np.repeat((self.sigma0 * _EYE3)[None], len(omega), axis=0), [_static(omega)]
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class Drude(MaterialModel):
         object.__setattr__(self, "tau", tau)
 
     def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
-        return _drude(self.sigma0, self.tau, omega)[:, None, None] * np.eye(3, dtype=complex), [_static(omega)]
+        return _drude(self.sigma0, self.tau, omega)[:, None, None] * _EYE3, [_static(omega)]
 
 
 AxisEntry = Union[complex, Drude]
@@ -264,11 +268,12 @@ class Tabulated(MaterialModel):
     def _nearest(self, k: np.ndarray) -> np.ndarray:
         """The index of each point's nearest k column; of equidistant columns the first."""
         step = max(1, _NEAREST_CELLS // len(self._kpoints))  # points per broadcast: bounds its temporary
+        near = []
         with np.errstate(over="ignore"):  # a distance beyond float range reads inf, never nearer than a finite one
-            return np.concatenate([
-                np.linalg.norm(k[i:i + step, None, :] - self._kpoints[None], axis=2).argmin(axis=1)
-                for i in range(0, max(len(k), 1), step)  # one chunk at least: no points give an empty index array
-            ])
+            for i in range(0, max(len(k), 1), step):  # one chunk at least: no points give an empty index array
+                d = k[i:i + step, None, :] - self._kpoints[None]
+                near.append(np.sqrt(np.add.reduce(d * d, axis=2)).argmin(axis=1))  # np.linalg.norm's arithmetic
+        return near[0] if len(near) == 1 else np.concatenate(near)
 
     def _evaluate(self, omega: np.ndarray, k: np.ndarray) -> tuple:
         near = self._nearest(k)
@@ -279,7 +284,7 @@ class Tabulated(MaterialModel):
             if self.interpolation == "nearest" or len(omegas) == 1:  # one node: nothing to interpolate
                 s = tensors[np.argmin(np.abs(omegas - w[:, None]), axis=1)]
             else:
-                hi = np.clip(np.searchsorted(omegas, w), 1, len(omegas) - 1)
+                hi = np.minimum(np.maximum(np.searchsorted(omegas, w), 1), len(omegas) - 1)  # np.clip's, at less cost
                 with np.errstate(all="ignore"):  # points far outside the span may overflow; the faults flag them
                     t = ((w - omegas[hi - 1]) / (omegas[hi] - omegas[hi - 1]))[:, None, None]
                     s = (1.0 - t) * tensors[hi - 1] + t * tensors[hi]

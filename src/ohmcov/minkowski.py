@@ -13,6 +13,7 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,9 @@ __all__ = [
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 ETA.setflags(write=False)
 
+_EYE3 = np.eye(3)  # read-only: shared by every call that adds the identity
+_EYE3.setflags(write=False)
+
 # |v|/c must stay below 1 - SPEED_MARGIN so gamma stays representable.
 SPEED_MARGIN = 1e-12
 
@@ -76,6 +80,13 @@ def _stack(owner: str, *fields, at: Wavevector4 | None = None) -> list:
     shape (), or all stacks of the same N points, as at is if given; InvariantViolation otherwise."""
     arrays, leads = [], []
     for x, shape, dtype, name in fields:
+        if not shape and isinstance(x, float if dtype is float else (float, complex)):  # no array for a Python number
+            x = dtype(x)
+            if not cmath.isfinite(x):
+                raise InvariantViolation(f"{name} entries must be finite")
+            arrays.append(x)
+            leads.append((name, ()))
+            continue
         a = _checked(x, shape, dtype, name, stacked=True)
         arrays.append(a if a.ndim else a.item())
         leads.append((name, a.shape[: a.ndim - len(shape)]))
@@ -117,10 +128,15 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.cross(a, b) over the last axis of (..., 3) stacks: the same products
-    and differences, at half np.cross's fixed cost per call."""
+    and differences, at a fraction of np.cross's fixed cost per call."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+    x = a1 * b2 - a2 * b1
+    out = np.empty(x.shape + (3,), x.dtype)
+    out[..., 0] = x
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def _mat(x) -> np.ndarray:
@@ -141,7 +157,7 @@ def _first(bad: np.ndarray) -> int:
 def _checked_rotation(rot) -> np.ndarray:
     """A spatial rotation matrix, orthogonal to within ROTATION_TOL."""
     r = _checked(rot, (3, 3), float, "rotation")
-    defect = float(np.max(np.abs(r.T @ r - np.eye(3))))
+    defect = float(np.max(np.abs(r.T @ r - _EYE3)))
     if defect > ROTATION_TOL:
         raise NotOrthogonal(f"R^T R deviates from the identity by {defect:.3e}")
     return r
@@ -231,7 +247,7 @@ class BoostParams:
         beta = speed / c
         gamma = 1.0 / np.sqrt(1.0 - beta * beta)
         # at rest gamma - 1 = 0, so a unit denominator leaves Lhat the identity
-        lhat = np.eye(3) + _mat(gamma - 1.0) * _outer(v, v) / _mat(np.where(speed > 0.0, speed * speed, 1.0))
+        lhat = _EYE3 + _mat(gamma - 1.0) * _outer(v, v) / _mat(np.where(speed > 0.0, speed * speed, 1.0))
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "gamma", gamma if v.ndim == 2 else float(gamma))
         object.__setattr__(self, "lambda_hat", lhat)
@@ -240,7 +256,7 @@ class BoostParams:
     def lambda_hat_inv(self) -> np.ndarray:
         """Inverse spatial block, 1 + (1/gamma - 1) v v^T / |v|^2."""
         v2 = _dots(self.v, self.v)
-        return np.eye(3) + _mat(1.0 / self.gamma - 1.0) * _outer(self.v, self.v) / _mat(np.where(v2 == 0.0, 1.0, v2))
+        return _EYE3 + _mat(1.0 / self.gamma - 1.0) * _outer(self.v, self.v) / _mat(np.where(v2 == 0.0, 1.0, v2))
 
     def matrix(self) -> "LorentzMatrix":
         """The 4x4 boost, [[gamma, -gamma v^T/c], [-gamma v/c, Lhat]],
@@ -275,7 +291,7 @@ class LorentzMatrix:
         # and its first failing matrix raises.
         s = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))[..., None, None]
         unit = m / s
-        resid = np.abs(np.swapaxes(unit, -1, -2) @ ETA @ unit - ETA / s / s).max(axis=(-2, -1))
+        resid = np.abs(unit.swapaxes(-1, -2) @ ETA @ unit - ETA / s / s).max(axis=(-2, -1))
         outside = ~(resid <= GROUP_TOL)  # a residual that is not finite fails
         if outside.any():
             raise InvariantViolation(f"matrix is not in O(1,3): metric residual {np.ravel(resid)[_first(outside)]:.3e} "
@@ -320,7 +336,7 @@ def compose(a: LorentzMatrix, b: LorentzMatrix) -> LorentzMatrix:
 
 def inverse(lam: LorentzMatrix) -> LorentzMatrix:
     """Group inverse eta Lambda^T eta; exact, no linear solve involved."""
-    return LorentzMatrix(ETA @ np.swapaxes(lam.entries, -1, -2) @ ETA)
+    return LorentzMatrix(ETA @ lam.entries.swapaxes(-1, -2) @ ETA)
 
 
 def transform_wavevector(lam: LorentzMatrix, kw: Wavevector4, units: UnitsConfig = NATURAL) -> Wavevector4:
@@ -342,7 +358,10 @@ def _transform_points(lam: LorentzMatrix, omega, kvec: np.ndarray, units: UnitsC
 
 def _fours(omega, kvec: np.ndarray, units: UnitsConfig) -> np.ndarray:
     """(omega/c, k) of the points omega () or (N,), kvec (3,) or (N, 3)."""
-    return np.concatenate((np.asarray(omega / units.c)[..., None], kvec), axis=-1)
+    four = np.empty(kvec.shape[:-1] + (4,))
+    four[..., 0] = omega / units.c
+    four[..., 1:] = kvec
+    return four
 
 
 def _boost(v, units: UnitsConfig) -> BoostParams:

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import json
 import reprlib
-from pathlib import Path
 
 from .errors import ParseError
 
 
 def read_text(path, what: str) -> str:
-    """The text of the file at path; ParseError naming it as what ("config") if it cannot be read."""
+    """The text of the file at path, decoded as UTF-8, JSON's encoding (RFC 8259 section 8.1); ParseError naming
+    it as what ("config") if it cannot be read or decoded."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            return fh.read().decode()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {what} {str(path)!r}: {exc}") from exc
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import BoostResonance
 from .minkowski import (
     NATURAL,
+    _EYE3,
     BoostParams,
     LorentzMatrix,
     UnitsConfig,
@@ -115,7 +116,7 @@ def projector_inverse(kvec: np.ndarray, v: np.ndarray, omega: float) -> np.ndarr
 def _projector_inverse(kvec: np.ndarray, v: np.ndarray, gap) -> np.ndarray:
     """projector_inverse for N points, without its check: kvec and v (N, 3)
     or (3,), gap = omega - v.k (N,) or a float."""
-    return np.eye(3) + _outer(kvec, v) / _mat(gap)
+    return _EYE3 + _outer(kvec, v) / _mat(gap)
 
 
 def boost_sigma_direct(s: FrameSample, v: np.ndarray, units: UnitsConfig = NATURAL) -> FrameSample:
@@ -175,8 +176,8 @@ def _frame_faults(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray) -> list:
 def _direct(sigma, omega, k, bp: BoostParams) -> tuple:
     with np.errstate(all="ignore"):  # resonant points divide by zero, and v.k may overflow; the faults flag them
         v_dot_k = _dots(k, bp.v)
-        left = np.eye(3) - _outer(bp.v, k) / omega[:, None, None]
-        right = np.eye(3) - _outer(k, bp.v) / omega[:, None, None]
+        left = _EYE3 - _outer(bp.v, k) / omega[:, None, None]
+        right = left.swapaxes(-1, -2)  # 1 - k v^T/omega: the same products, transposed
         prefactor = 1.0 / (bp.gamma * (1.0 - v_dot_k / omega))
         sigma_p = prefactor[:, None, None] * (bp.lambda_hat @ left @ sigma @ right @ bp.lambda_hat)
         omega_p, k_p = _transform_points(bp.matrix(), omega, k, bp.units)
@@ -212,7 +213,7 @@ def _inverse(sigma_p, omega, k, bp: BoostParams) -> tuple:
         # roles swapped on purpose: this inverts (1 - v k^T/omega)
         left_inv = _projector_inverse(bp.v, k, omega - v_dot_k)
         lhat_inv = bp.lambda_hat_inv
-        tail = (1.0 - v_dot_k / omega)[:, None, None] * np.eye(3) + _outer(k, bp.v) / omega[:, None, None]
+        tail = (1.0 - v_dot_k / omega)[:, None, None] * _EYE3 + _outer(k, bp.v) / omega[:, None, None]
         sigma = _mat(bp.gamma) * (left_inv @ lhat_inv @ sigma_p @ lhat_inv @ tail)
     return sigma, omega, k, [_static(omega), _resonance(omega, v_dot_k)]
 

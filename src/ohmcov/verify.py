@@ -196,12 +196,18 @@ def _draw(rng: np.random.Generator, n: int, units: UnitsConfig, *segments: tuple
 
     block(m, last) makes a block's generator calls into one buffer and maps
     them at once, or returns None if the guard would redraw a sample;
-    one(last) draws one sample by the samplers' own code."""
+    one(last) draws one sample by the samplers' own code.  The buffer and
+    the view each call fills are made once per _draw, for its largest
+    block; a block uses a prefix of them."""
     segments = [(setup, shapes, 2 * sum(math.prod(shape) for shape in shapes)) for setup, shapes in segments]
     normal, uniform = rng.standard_normal, rng.random
     calls = [call for setup, _, _ in segments for call in (normal, *(uniform, normal) * setup, uniform)]
     sizes = [size for setup, _, width in segments for size in (3, *(1, 3) * setup, width + 2)]
     stride = sum(sizes)  # a sample's share of the buffer: its two leading uniforms, then its calls
+    most = min(BLOCK, n)  # _suite's largest block
+    flat = np.empty(most * stride + 2)
+    ends = np.cumsum([2, *sizes * most]).tolist()
+    views = [(call, flat[a:b]) for call, a, b in zip(calls * most, ends, ends[1:])]
     drawn, lead = 0, None
 
     def one(last: bool) -> list:
@@ -216,13 +222,13 @@ def _draw(rng: np.random.Generator, n: int, units: UnitsConfig, *segments: tuple
 
     def block(m: int, last: bool) -> list | None:
         nonlocal lead
-        flat = np.empty(m * stride + 2)
         flat[:2] = lead
-        ends = np.cumsum([2, *sizes * m])
-        ends[-1] -= 2 * last
-        for call, a, b in zip(calls * m, ends.tolist(), ends[1:].tolist()):
-            call(out=flat[a:b])
-        rows, values, ok, at = flat[:-2].reshape(m, stride), [], True, 0
+        fills = views[:m * len(calls)]
+        if last:  # the last call draws no leading uniforms for a next sample
+            fills[-1] = fills[-1][0], fills[-1][1][:-2]
+        for call, out in fills:
+            call(out=out)
+        rows, values, ok, at = flat[:m * stride].reshape(m, stride), [], True, 0
         for setup, _, width in segments:
             omega = _uniform(0.1, 10.0, rows[:, at])
             kdir, fine = _directions(rows[:, at + 2:at + 5])
@@ -243,7 +249,7 @@ def _draw(rng: np.random.Generator, n: int, units: UnitsConfig, *segments: tuple
             at += width
         if not ok.all():
             return None
-        lead = flat[-2:]
+        lead = flat[m * stride:m * stride + 2].copy()  # the next block overwrites the buffer
         return values
 
     def draw(m):

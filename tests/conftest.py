@@ -1,9 +1,26 @@
 """Shared helpers for the test suite."""
 
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+# Floats for the reference tests of array helpers: any finite float, and the values where IEEE arithmetic is
+# special.  The NaN is Python's one NaN: an operation on two NaNs keeps the payload of one of them, which the
+# hardware picks by operand order, so NaNs of several payloads would test the hardware, not the helper.
+SPECIAL_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, math.inf, -math.inf,
+                     math.nan]),
+)
+
+
+def float_stacks(*shape):
+    """(N, *shape) float arrays of SPECIAL_FLOATS, N from 1 to 6."""
+    return st.integers(1, 6).flatmap(lambda n: arrays(np.float64, (n, *shape), elements=SPECIAL_FLOATS))
 
 
 @pytest.fixture(autouse=True)

@@ -17,6 +17,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ohmcov import (
     PARITY_FLIP,
@@ -66,9 +69,10 @@ from ohmcov import (
 )
 from ohmcov import cli, materials
 from ohmcov.verify import rel_error
+from ohmcov.minkowski import _EYE3, _dots, _outer
 from ohmcov.transform import _direct, _flagged, _frame_faults, _inverse, _oracle, _raise
 
-from conftest import rand_unit
+from conftest import float_stacks, rand_unit
 
 N = 96
 
@@ -153,6 +157,24 @@ def test_direct_kernel_is_n_single_calls(rng, c):
     bp = BoostParams(v, units)
     result = _direct(sigma, omega, k, bp)
     check_against_single_points(result, single_calls(lambda s, i: boost_sigma_direct(s, v, units), sigma, omega, k))
+
+
+@given(v=arrays(np.float64, (6, 3), elements=st.floats(-0.57, 0.57)), k=float_stacks(3), omega=float_stacks(),
+       sigma=float_stacks(3, 3, 2), one=st.booleans())
+def test_direct_right_factor_is_the_left_one_transposed(v, k, omega, sigma, one):
+    """_direct takes 1 - k v^T/omega as the transpose of 1 - v k^T/omega, whose products are the same: the
+    kernel gives the bits of the right factor made afresh, also at signed zeros, subnormals, infinities and NaN
+    in the points and the tensors, for one boost below c and for one per point."""
+    n = min(len(v), len(k), len(omega), len(sigma))
+    k, omega, sigma = k[:n], omega[:n], sigma[:n].view(complex)[..., 0]
+    with np.errstate(all="ignore"):
+        bp = BoostParams(v[0] if one else v[:n])
+        left = _EYE3 - _outer(bp.v, k) / omega[:, None, None]
+        right = _EYE3 - _outer(k, bp.v) / omega[:, None, None]
+        assert_same_bits(left.swapaxes(-1, -2), right)
+        prefactor = 1.0 / (bp.gamma * (1.0 - _dots(k, bp.v) / omega))
+        want = prefactor[:, None, None] * (bp.lambda_hat @ left @ sigma @ right @ bp.lambda_hat)
+        assert_same_bits(_direct(sigma, omega, k, bp)[0], want)
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])
@@ -557,6 +579,17 @@ def test_nearest_column_search_is_per_point(rng, monkeypatch, interpolation):
     sigma = model.evaluate_batch(omega, k)
     monkeypatch.setattr(model, "_nearest", per_point)
     assert_same_bits(sigma, model.evaluate_batch(omega, k))
+
+
+@given(k=float_stacks(3), columns=float_stacks(3))
+def test_nearest_is_the_norm_argmin(k, columns):
+    """The nearest-k search takes np.linalg.norm's own arithmetic, sqrt(add.reduce(d * d)): the index of the
+    norm's argmin, also at signed zeros, subnormals, infinities and NaN in the points, for finite columns."""
+    columns = np.unique(np.where(np.isfinite(columns), columns, 0.0), axis=0)
+    model = Tabulated([(Wavevector4(1.0, kv), np.eye(3)) for kv in columns])
+    with np.errstate(over="ignore"):
+        want = np.linalg.norm(k[:, None, :] - model._kpoints[None], axis=2).argmin(axis=1)
+        assert_same_bits(model._nearest(k), want)
 
 
 def test_tabulated_out_of_range_text():

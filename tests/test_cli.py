@@ -196,7 +196,8 @@ def test_transform_overflowing_point_prints_one_error_line(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "transform", f"--model={path}", "--velocity=0.1,0,0", "--omega=1e308", "--k=1e308,0,0"
     )
-    assert (code, out, err) == (2, "", "error: response kernel entries must be finite\n")
+    message = "error: at omega=1e+308 k=[1e+308, 0.0, 0.0]: response kernel entries must be finite\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_ohm_overflowing_point_passes_the_faraday_check(capsys):
@@ -227,7 +228,20 @@ def test_overflowing_v_dot_k_is_no_resonance(capsys, argv):
     rejects, as for a NaN v.k, without a numpy warning (an error under this suite's filter)."""
     drude = Path(__file__).parent / "golden" / "drude.json"
     code, out, err = run_cli(capsys, argv[0], f"--model={drude}", "--c=299792458", "--velocity=2e8,2e8,0", *argv[1:])
-    assert (code, out, err) == (2, "", "error: conductivity entries must be finite\n")
+    message = "error: at omega=1.0 k=[1e+301, -1e+301, 0.0]: conductivity entries must be finite\n"
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transform", "--velocity=inf,0,0", "--omega=1", "--k=1,0,0"], "velocity entries must be finite"),
+    (["ohm", "--velocity=0.1,0,0", "--omega=1", "--k=1,0,0", "--E=0,nan,0"], "E entries must be finite"),
+])
+def test_errors_about_inputs_name_no_point(capsys, argv, message):
+    """An error about a value computed at the requested point names the point; one about an input, checked
+    after the first of those, keeps its text."""
+    drude = Path(__file__).parent / "golden" / "drude.json"
+    code, out, err = run_cli(capsys, argv[0], f"--model={drude}", *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # -- output rendering ----------------------------------------------------------
@@ -488,15 +502,21 @@ POINT = ["--omega=1", "--k=0,0,0"]
         (["transform", "--model=m.json", "--omega=1,2", "--k=0,0,0"], {},
          "this command needs exactly one omega and one k"),
         (["ohm", "--model=m.json", *POINT], {}, "ohm needs an electric field amplitude (--E or the 'E' config key)"),
+        (["transform", "--model=latin1.json", "--velocity=0.1,0,0", *POINT],
+         {"latin1.json": b'{"type": "constant-scalar", "sigma0": [1.0, 0.0]}\xff'},
+         "cannot read model file 'latin1.json': 'utf-8' codec can't decode byte 0xff in position 49: "
+         "invalid start byte"),
+        (["transform", "--config=latin1.json"], {"latin1.json": b'{"c": 1}\xff'},
+         "cannot read config 'latin1.json': 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
     ],
     ids=["velocity count", "velocity number", "omega number", "missing config", "config JSON", "config list",
-         "config overlong integer", "no model", "two omegas", "no E"],
+         "config overlong integer", "no model", "two omegas", "no E", "model not UTF-8", "config not UTF-8"],
 )
 def test_bad_input_exit_2(tmp_path, monkeypatch, capsys, argv, files, message):
     monkeypatch.chdir(tmp_path)
     save_model(ConstantScalar(2.0), "m.json")
     for name, text in files.items():
-        Path(name).write_text(text)
+        Path(name).write_bytes(text) if isinstance(text, bytes) else Path(name).write_text(text)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     (line,) = err.splitlines()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from hypothesis.strategies import floats
 
 from ohmcov import (
@@ -26,8 +27,9 @@ from ohmcov import (
     rotation_embed,
     transform_wavevector,
 )
+from ohmcov.minkowski import _cross, _fours
 
-from conftest import rand_rotation, rand_unit
+from conftest import float_stacks, rand_rotation, rand_unit
 
 R90Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -282,3 +284,30 @@ def test_decompose_rejects_a_boost_at_c_in_floats():
     with pytest.raises(DegenerateDecomposition) as info:
         decompose(LorentzMatrix(entries))
     assert str(info.value) == "time column encodes |v|/c = 1.0, too close to 1"
+
+
+@given(a=float_stacks(3), b=float_stacks(3), imag=float_stacks(3), one=st.booleans())
+def test_cross_is_np_cross(a, b, imag, one):
+    """_cross makes np.cross's products and differences in its order: the same bits, for real and complex
+    stacks and for one vector against a stack, also at signed zeros, subnormals, infinities and NaN."""
+    n = min(len(a), len(b), len(imag))
+    a, z = (a[0] if one else a[:n]), np.empty((n, 3), dtype=complex)
+    z.real, z.imag = b[:n], imag[:n]
+    with np.errstate(all="ignore"):
+        for x, y in ((a, z.real), (a, z), (z, a)):
+            got, want = _cross(x, y), np.cross(x, y)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(omega=float_stacks(), kvec=float_stacks(3), c=st.sampled_from([1.0, 2.0, 299_792_458.0]))
+def test_fours_is_the_concatenated_form(omega, kvec, c):
+    """_fours writes (omega/c, k) into one array: the bits of the concatenation it replaced, for a point and a
+    stack."""
+    units, n = UnitsConfig(c), min(len(omega), len(kvec))
+    with np.errstate(all="ignore"):
+        for w, k in ((omega[:n], kvec[:n]), (float(omega[0]), kvec[0])):
+            want = np.concatenate((np.asarray(w / units.c)[..., None], k), axis=-1)
+            got = _fours(w, k, units)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -317,6 +317,14 @@ def test_guard_redraws_follow_the_reference_stream(monkeypatch, draws, seed):
     assert len(redraws) > 0 and len(points) > 0  # blocks with a redraw are drawn sample by sample
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_guard_redraws_after_a_whole_block_follow_the_reference_stream(monkeypatch, seed):
+    """In blocks of 5, some blocks of the widened guard's stream are drawn whole and some sample by sample, so
+    a block drawn sample by sample also starts from the two uniforms a whole block drew last."""
+    monkeypatch.setattr(verify, "BLOCK", 5)
+    test_guard_redraws_follow_the_reference_stream(monkeypatch, "oracle_equivalence", seed)
+
+
 def report(results):
     return [(r.name, r.samples, repr(r.max_residual), r.passed) for r in results]
 

@@ -20,9 +20,11 @@ document or the document itself inlined.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import marshal
+import math
 import os
 import sys
 import tempfile
@@ -37,9 +39,8 @@ from .materials import MaterialModel, _model_from_text, model_from_dict
 from .minkowski import _EYE3, BoostParams, UnitsConfig, Wavevector4, _checked, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
 from .response import require_dynamic
-from .transform import FrameSample, boost_sigma_direct, transform_sigma_oracle
-from .transform import _direct, _flagged, _frame_faults, _oracle, _raise  # the sweep's kernels and their faults
-from .verify import _rel_errors, rel_error, run_all
+from .transform import _direct, _flagged, _frame_faults, _oracle, _raise  # the boost route's kernels and their faults
+from .verify import _rel_errors, run_all
 
 __all__ = ["main"]
 
@@ -231,12 +232,26 @@ def _render(fmt: str, layout: tuple, rows: list, nulls: frozenset = frozenset())
     return ",".join(_columns(layout)) + "\n" + "".join([line % tuple(row) for row in rows])
 
 
-def _row(kw: Wavevector4, kw_p: Wavevector4, gamma: float, *leaves) -> list:
-    """A transform or ohm record's row: the point, its image, gamma, then the leaves, each flattened, a complex one
-    as its [re, im] pairs."""
-    row = [float(kw.omega), *kw.kvec.tolist(), float(kw_p.omega), *kw_p.kvec.tolist(), float(gamma)]
+@contextlib.contextmanager
+def _at(omega, k):
+    """The errors of the checks made in the block at the requested point omega, k, as the same errors naming it."""
+    try:
+        yield
+    except (DomainError, InvariantViolation) as exc:
+        raise type(exc)(f"at omega={float(omega)!r} k={np.asarray(k).tolist()!r}: {exc}") from exc
+
+
+def _row(layout: tuple, kw: Wavevector4, *leaves) -> list:
+    """A transform or ohm record's row of the layout: the point kw, then the leaves (its image, gamma, ...), each
+    flattened, a complex one as its [re, im] pairs.  A value that is not finite raises, naming the point and its
+    column."""
+    row = [float(kw.omega), *kw.kvec.tolist()]
     for leaf in map(np.asarray, leaves):
         row += (leaf.ravel().view(float) if leaf.dtype == complex else leaf.ravel()).tolist()
+    if not all(map(math.isfinite, row)):
+        column, x = next((c, x) for c, x in zip(_columns(layout), row) if not math.isfinite(x))
+        with _at(kw.omega, kw.kvec):
+            raise InvariantViolation(f"output {column} = {x!r} is not finite")
     return row
 
 
@@ -261,25 +276,33 @@ def _sweep_rows(table: np.ndarray, points: np.ndarray, csv_texts) -> str:
     return "".join([omega_text[i] + k_text[j] + ",".join(map(str, row)) + "\n" for i, j, row in rows])
 
 
-def _located(exc: Exception, omega: float, k: list) -> Exception:
-    """exc, an error of a check at the requested point omega, k, as the same error naming the point."""
-    return type(exc)(f"at omega={omega!r} k={k!r}: {exc}")
+def _sampled(model: MaterialModel, omega: np.ndarray, k: np.ndarray) -> tuple:
+    """The transform route's first stage at N points, under the caller's errstate: sigma, and the faults of the
+    point, the model and the tensor, in the order a transform makes those checks."""
+    sigma, model_faults = model._evaluate(omega, k)
+    point, tensor = _frame_faults(sigma, omega, k)  # the point is checked before the model, its tensor after
+    return sigma, [point, *model_faults, tensor]
+
+
+def _boosted(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray, bp: BoostParams) -> tuple:
+    """Its second stage, after a transform's check of the velocity: sigma', omega' and k' by the closed form, their
+    residual against the oracle's sigma', and the faults of both laws in order, each law's ending with its result's."""
+    sigma_p, omega_p, k_p, faults = _direct(sigma, omega, k, bp)
+    sigma_o, omega_o, k_o, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), bp.units)
+    faults += [*_frame_faults(sigma_p, omega_p, k_p), *oracle_faults, *_frame_faults(sigma_o, omega_o, k_o)]
+    return sigma_p, omega_p, k_p, _rel_errors(sigma_p, sigma_o), faults
 
 
 def _sweep_chunk(model, bp: BoostParams, grid, csv_texts, start: int, stop: int) -> tuple[list, list]:
-    """Grid points start:stop through cmd_transform's route, a block at a time: the text of each block's kept rows
+    """Grid points start:stop through the transform route, a block at a time: the text of each block's kept rows
     (_sweep_rows), and the skipped points' (omega, k, reason) in grid order."""
     texts, skipped = [], []
-    with np.errstate(all="ignore"):  # cmd_transform's route at each point; the faults flag where it raises
+    with np.errstate(all="ignore"):  # the faults flag the points where a transform raises
         for lo in range(start, stop, SWEEP_BLOCK):
             omega, k = (axis[lo:min(lo + SWEEP_BLOCK, stop)] for axis in grid)
-            sigma, model_faults = model._evaluate(omega, k)
-            sigma_p, omega_p, k_p, direct_faults = _direct(sigma, omega, k, bp)
-            sigma_o, omega_o, k_o, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), bp.units)
-            residual = _rel_errors(sigma_p, sigma_o)
-            point, tensor = _frame_faults(sigma, omega, k)  # the point is checked before the model, its tensor after
-            faults = [point, *model_faults, tensor, *direct_faults, *_frame_faults(sigma_p, omega_p, k_p),
-                      *oracle_faults, *_frame_faults(sigma_o, omega_o, k_o)]
+            sigma, faults = _sampled(model, omega, k)
+            sigma_p, omega_p, k_p, residual, boost_faults = _boosted(sigma, omega, k, bp)
+            faults += boost_faults
             keep = np.ones(len(omega), dtype=bool)
             for i in np.flatnonzero(_flagged(faults)).tolist():
                 try:
@@ -287,10 +310,11 @@ def _sweep_chunk(model, bp: BoostParams, grid, csv_texts, start: int, stop: int)
                 except DomainError as exc:
                     skipped.append((omega[i].item(), k[i].tolist(), f"{type(exc).__name__}: {exc}"))
                     keep[i] = False
-                except InvariantViolation as exc:
-                    if point[0][i]:  # the grid point itself is not finite: an input, whose error names no point
+                except InvariantViolation:
+                    if faults[0][0][i]:  # the grid point itself is not finite: an input, whose error names no point
                         raise
-                    raise _located(exc, omega[i].item(), k[i].tolist()) from exc
+                    with _at(omega[i], k[i]):
+                        raise
             table = np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual))[keep]
             texts.append(_sweep_rows(table, lo + np.flatnonzero(keep), csv_texts))
     return texts, skipped
@@ -347,23 +371,20 @@ def _in_chunks(compute, n: int) -> list:
 
 
 def cmd_transform(args) -> int:
+    """The sweep's route at one point; its first fault raises, naming the point."""
     cfg, units, fmt, path = _setup(args, "structured")
     model, v = _model_and_velocity(args, cfg)
     kw = _resolve_single_point(args, cfg)
-
-    try:
-        sample = FrameSample(model.evaluate(kw), kw)
-    except (DomainError, InvariantViolation) as exc:
-        raise _located(exc, kw.omega, kw.kvec.tolist()) from exc
-    bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
-    lam = bp.matrix()
-    try:
-        direct = boost_sigma_direct(sample, bp)
-        oracle = transform_sigma_oracle(sample, lam, units)
-    except (DomainError, InvariantViolation) as exc:
-        raise _located(exc, kw.omega, kw.kvec.tolist()) from exc
-    residual = rel_error(direct.sigma, oracle.sigma)  # both move (k, omega) by the same code
-    _write(path, [_render(fmt, _TRANSFORM, [_row(kw, direct.at, bp.gamma, sample.sigma, direct.sigma, residual)])])
+    omega, k = np.array([kw.omega]), kw.kvec[None]
+    with np.errstate(all="ignore"):
+        sigma, faults = _sampled(model, omega, k)
+        with _at(kw.omega, kw.kvec):
+            _raise(faults)
+        bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
+        sigma_p, omega_p, k_p, residual, faults = _boosted(sigma, omega, k, bp)
+        with _at(kw.omega, kw.kvec):
+            _raise(faults)
+    _write(path, [_render(fmt, _TRANSFORM, [_row(_TRANSFORM, kw, omega_p, k_p, bp.gamma, sigma, sigma_p, residual)])])
     return 0
 
 
@@ -400,19 +421,14 @@ def cmd_ohm(args) -> int:
     evec = _resolve_efield(args, cfg)
 
     bp = BoostParams(v, units)
-    lam = bp.matrix()
-    try:
-        kw_p = transform_wavevector(lam, kw, units)
+    with _at(kw.omega, kw.kvec):
+        kw_p = transform_wavevector(bp.matrix(), kw, units)
         sigma_p = model.evaluate(kw_p)
         require_dynamic(kw.omega)  # fields_from_electric's first check; its next, of the input E, names no point
-    except (DomainError, InvariantViolation) as exc:
-        raise _located(exc, kw.omega, kw.kvec.tolist()) from exc
     evec = _checked(evec, (3,), complex, "E")
-    try:
+    with _at(kw.omega, kw.kvec):
         fields = fields_from_electric(evec, kw)
         gen = generalized_ohm(sigma_p, bp, fields)
-    except (DomainError, InvariantViolation) as exc:
-        raise _located(exc, kw.omega, kw.kvec.tolist()) from exc
 
     s0 = complex((sigma_p / 3.0).trace())  # a third of each entry: the sum stays finite for finite sigma'
     iso_defect = float(np.abs(sigma_p - s0 * _EYE3).max())
@@ -431,7 +447,7 @@ def cmd_ohm(args) -> int:
         print("conductivity is not scalar at the boosted point; textbook outputs omitted", file=sys.stderr)
         nulls = frozenset({"textbook"})
 
-    row = _row(kw, kw_p, bp.gamma, gen.jvec, gen.rho, gen.drift_current, *textbook)
+    row = _row(_OHM, kw, kw_p.omega, kw_p.kvec, bp.gamma, gen.jvec, gen.rho, gen.drift_current, *textbook)
     _write(path, [_render(fmt, _OHM, [row], nulls)])
     return 0
 

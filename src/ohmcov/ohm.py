@@ -62,10 +62,11 @@ class FieldSet:
     def __post_init__(self) -> None:
         e, b = _stack("FieldSet", (self.E, (3,), complex, "E"), (self.B, (3,), complex, "B"), at=self.at)
         # omega and k in units of 8 max(|omega|, |k|), so that for finite fields every product, difference and
-        # modulus below stays within float range; the scale is max|omega B| + max|k| max|E| in those units
+        # modulus below stays within float range; the scale is max|omega B| + max|k| max|E| in those units.  The
+        # unit is divided out in two steps, the second exact, since 8 max(|omega|, |k|) may overflow
         omega, k = np.asarray(self.at.omega)[..., None], self.at.kvec
-        unit = 8.0 * np.maximum(np.maximum(abs(omega), abs(k).max(axis=-1, keepdims=True)), _TINY)
-        omega, k = omega / unit, k / unit
+        unit = np.maximum(np.maximum(abs(omega), abs(k).max(axis=-1, keepdims=True)), _TINY)
+        omega, k = omega / unit / 8.0, k / unit / 8.0
         wb = omega * b
         resid = np.abs(wb - _cross(k, e)).max(axis=-1)
         scale = np.abs(wb).max(axis=-1) + np.abs(abs(k).max(axis=-1, keepdims=True) * e).max(axis=-1)
@@ -90,7 +91,9 @@ def fields_from_electric(evec, at: Wavevector4) -> FieldSet:
     """Complete an electric amplitude with the Faraday-consistent B = k x E / omega."""
     require_dynamic(at.omega)
     (e,) = _stack("fields_from_electric", (evec, (3,), complex, "E"), at=at)
-    return FieldSet(E=e, B=_cross(at.kvec, e) / np.asarray(at.omega)[..., None], at=at)
+    with np.errstate(over="ignore", invalid="ignore"):  # a B beyond float range is not finite, which FieldSet rejects
+        b = _cross(at.kvec, e) / np.asarray(at.omega)[..., None]
+    return FieldSet(E=e, B=b, at=at)
 
 
 def ohm_current(sigma: np.ndarray, evec) -> np.ndarray:
@@ -166,8 +169,9 @@ def textbook_ohm(
     s = np.asarray(sigma_scalar, dtype=complex)
     _broadcast("textbook_ohm", ("conductivity", s.shape), ("at", fields.at.kvec.shape[:-1]))
     beta = bp.v / bp.units.c
-    emf = fields.E + _cross(bp.v, fields.B) - beta * _dots(beta, fields.E)[..., None]
-    return (bp.gamma * s)[..., None] * emf
+    with np.errstate(over="ignore", invalid="ignore"):  # a current beyond float range is inf or NaN; callers check it
+        emf = fields.E + _cross(bp.v, fields.B) - beta * _dots(beta, fields.E)[..., None]
+        return (bp.gamma * s)[..., None] * emf
 
 
 def textbook_ohm_nr(sigma_scalar: complex, v: np.ndarray, fields: FieldSet) -> np.ndarray:

@@ -181,7 +181,7 @@ def _direct(sigma, omega, k, bp: BoostParams) -> tuple:
         prefactor = 1.0 / (bp.gamma * (1.0 - v_dot_k / omega))
         sigma_p = prefactor[:, None, None] * (bp.lambda_hat @ left @ sigma @ right @ bp.lambda_hat)
         omega_p, k_p = _transform_points(bp.matrix(), omega, k, bp.units)
-    return sigma_p, omega_p, k_p, [_resonance(omega, v_dot_k)]
+        return sigma_p, omega_p, k_p, [_resonance(omega, v_dot_k)]
 
 
 def boost_sigma_inverse(
@@ -215,7 +215,7 @@ def _inverse(sigma_p, omega, k, bp: BoostParams) -> tuple:
         lhat_inv = bp.lambda_hat_inv
         tail = (1.0 - v_dot_k / omega)[:, None, None] * _EYE3 + _outer(k, bp.v) / omega[:, None, None]
         sigma = _mat(bp.gamma) * (left_inv @ lhat_inv @ sigma_p @ lhat_inv @ tail)
-    return sigma, omega, k, [_static(omega), _resonance(omega, v_dot_k)]
+        return sigma, omega, k, [_static(omega), _resonance(omega, v_dot_k)]
 
 
 def rotate_sigma(s: FrameSample, rot: np.ndarray) -> FrameSample:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ohmcov
@@ -242,6 +242,101 @@ def test_errors_about_inputs_name_no_point(capsys, argv, message):
     drude = Path(__file__).parent / "golden" / "drude.json"
     code, out, err = run_cli(capsys, argv[0], f"--model={drude}", *argv[1:])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_ohm_overflowing_b_prints_one_error_line(capsys):
+    """k x E / omega overflows here.  B is computed under errstate, so its finiteness check rejects it without a
+    numpy warning (an error under this suite's filter): stderr holds the error line alone."""
+    code, out, err = run_cli(capsys, "ohm", f"--model={GOLDEN / 'drude.json'}", "--velocity=0.1,0,0", "--omega=1",
+                             "--k=1e300,0,0", "--E=0,1e300,0")
+    assert (code, out, err) == (2, "", "error: at omega=1.0 k=[1e+300, 0.0, 0.0]: B entries must be finite\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+def test_ohm_non_finite_output_exits_2(capsys, fmt):
+    """The textbook current overflows here, though the generalized one is finite.  A row that is not finite is
+    rejected before it is rendered, naming the point and its first such column: no Infinity in the JSON."""
+    code, out, err = run_cli(
+        capsys, "ohm", f"--model={GOLDEN / 'drude.json'}",
+        "--velocity=-0.36614705455121627,-0.13232133254075143,0.8114353944696451", "--omega=1e+150",
+        "--k=1e-14,-1e-09,0.0", "--E=-1.7e+308,-1.7e+308,-1.7e+308", f"--format={fmt}",
+    )
+    message = "error: at omega=1e+150 k=[1e-14, -1e-09, 0.0]: output tbx_re = inf is not finite\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_transform_non_finite_residual_exits_2(tmp_path, capsys):
+    """|sigma| overflows here, so the residual's scale does and the residual is NaN: the row is rejected, not
+    written."""
+    path = model_path(tmp_path, ConstantScalar(1.5e308 + 1.5e308j))
+    code, out, err = run_cli(capsys, "transform", f"--model={path}", "--omega=1", "--k=0,0,0")
+    message = "error: at omega=1.0 k=[0.0, 0.0, 0.0]: output residual = nan is not finite\n"
+    assert (code, out, err) == (2, "", message)
+
+
+# Request floats at the extremes of float range: zero, subnormal, tiny, near the resonance floors, ordinary, huge.
+EXTREMES = [0.0, 5e-324, 1e-300, 1e-14, 1e-9, 1.0, 3.0, 1e150, 1e300, 1.7e308]
+EXTREME_FLOATS = st.sampled_from(EXTREMES + [-x for x in EXTREMES])
+
+
+def below_top_speed(v: list) -> list:
+    """v, scaled down to |v| = 1 - 1e-11 where it is faster."""
+    norm = math.hypot(*v)
+    return v if norm <= 1.0 - 1e-11 else [x * ((1.0 - 1e-11) / norm) for x in v]
+
+
+TRANSFORM_ARGV = st.builds(
+    lambda model, v, omega, k: [f"--model={GOLDEN / model}", "--velocity=" + ",".join(map(repr, v)),
+                                f"--omega={omega!r}", "--k=" + ",".join(map(repr, k))],
+    st.sampled_from(["drude.json", "constant.json", "diagonal.json"]),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(below_top_speed),
+    EXTREME_FLOATS,
+    st.lists(EXTREME_FLOATS, min_size=3, max_size=3),
+)
+
+
+def finite_numbers(doc) -> bool:
+    """Whether every number in the parsed JSON document is finite."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return all(map(finite_numbers, doc))
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+def reject_constant(name: str):
+    """json.loads's hook for NaN, Infinity and -Infinity, which are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+@settings(max_examples=300, deadline=None)
+@example(argv=[f"--model={GOLDEN / 'diagonal.json'}",
+               "--velocity=-0.28914695271741603,0.08666092290499842,0.9533540392506271", "--omega=1.7e+308",
+               "--k=-1e+150,-1e-09,-3.0"])
+@example(argv=[f"--model={GOLDEN / 'constant.json'}",
+               "--velocity=0.08357381783382796,0.035751081610642846,0.04168065662087503", "--omega=-1.7e+308",
+               "--k=-1e-14,1.7e+308,1.7e+308"])
+@given(argv=TRANSFORM_ARGV)
+def test_transform_requests_keep_the_exit_code_contract(fmt, argv):
+    """Any transform request at extreme floats exits 0, 2 or 3, without a numpy warning (an error under this suite's
+    filter): exit 0 writes only finite numbers, in JSON that parses as such, and nothing on stderr; any other exit
+    writes nothing on stdout and one error line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["transform", *argv, f"--format={fmt}"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    elif fmt == "structured":
+        assert err == "" and finite_numbers(json.loads(out, parse_constant=reject_constant))
+    else:
+        header, row = out.splitlines()
+        assert err == "" and all(math.isfinite(float(cell)) for cell in row.split(","))
 
 
 # -- output rendering ----------------------------------------------------------

@@ -86,6 +86,15 @@ def test_field_set_faraday_check_does_not_overflow():
         FieldSet(e, np.array([0.0, 1e10 + 1e10j, 0.0]), kw)
 
 
+def test_field_set_faraday_check_scale_stays_finite():
+    """Near the top of float range, 8 max(|omega|, |k|) overflows; the check divides by the largest part first, so
+    it still runs and rejects a B that breaks Faraday's law, without a numpy warning (an error under this suite's
+    filter)."""
+    for kx in (-1.7e308, -1e307):
+        with pytest.raises(InvariantViolation, match="omega B != k x E"):
+            FieldSet(E=(0, 1, 0), B=(0, 0, 123), at=Wavevector4(-1e300, (kx, 0, 0)))
+
+
 def test_fields_from_electric():
     kw = Wavevector4(2.0, np.array([0.0, 1.0, 0.0]))
     evec = np.array([3.0, 0.0, 0.0], dtype=complex)

@@ -245,6 +245,17 @@ def test_overflowing_v_dot_k_is_no_resonance():
             boost()
 
 
+def test_resonance_check_of_an_overflowing_point_does_not_warn():
+    """omega - v.k overflows here.  The resonance check runs under the kernels' errstate, so the direct law rejects
+    its non-finite omega' and the inverse law returns, both without a numpy warning (an error under this suite's
+    filter)."""
+    kw = Wavevector4(1.7e308, [-1.7e308, 0.0, 0.0])
+    s = FrameSample(np.eye(3) + 0j, kw)
+    with pytest.raises(InvariantViolation, match="^omega entries must be finite$"):
+        boost_sigma_direct(s, [0.99, 0.0, 0.0])
+    assert np.isfinite(boost_sigma_inverse(s, [0.99, 0.0, 0.0], kw).sigma).all()
+
+
 def test_oracle_rejects_a_static_boosted_frequency():
     # omega' = gamma (omega - v.k), about 5.8e-15: outside the resonance band, under the static floor
     s = FrameSample(np.eye(3, dtype=complex), Wavevector4(1e-13, np.array([1.9e-13, 0.0, 0.0])))

@@ -5,7 +5,9 @@ ohm (moving-medium current at one point), verify (randomized self checks).
 
 Data goes to stdout or --output; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error,
-3 domain error (resonance, static frequency, out-of-range point).  Large
+3 domain error (resonance, static frequency, out-of-range point).  Every
+input is checked as it is read, before anything is computed at a point, and
+no numpy warning reaches stderr.  Large
 sweeps, in either format, compute and render on every usable CPU: forked
 children that never outlive the call each return a chunk's result through an
 unnamed temporary file, and the bytes are the same; a caller without os.fork
@@ -38,7 +40,6 @@ from .errors import DomainError, InvariantViolation, OhmcovError, ParseError, Sp
 from .materials import MaterialModel, _model_from_text, model_from_dict
 from .minkowski import _EYE3, BoostParams, UnitsConfig, Wavevector4, _checked, transform_wavevector
 from .ohm import fields_from_electric, generalized_ohm, textbook_ohm, textbook_ohm_nr
-from .response import require_dynamic
 from .transform import _direct, _flagged, _frame_faults, _oracle, _raise  # the boost route's kernels and their faults
 from .verify import _rel_errors, run_all
 
@@ -156,7 +157,7 @@ def _setup(args, default_format: str) -> tuple[dict, UnitsConfig, str, str | Non
 _parsed_model = functools.lru_cache(maxsize=MODEL_CACHE_SIZE)(_model_from_text)
 
 
-def _model_and_velocity(args, cfg: dict) -> tuple[MaterialModel, np.ndarray]:
+def _model_and_boost(args, cfg: dict, units: UnitsConfig) -> tuple[MaterialModel, BoostParams]:
     spec = _option(args.model, cfg, "model", reader.of((str, dict), "a path or an inline model"), None)
     if spec is None:
         raise ConfigError("no conductivity model given (use --model or the 'model' config key)")
@@ -167,8 +168,7 @@ def _model_and_velocity(args, cfg: dict) -> tuple[MaterialModel, np.ndarray]:
         path = spec if args.model is not None else Path(cfg["__where__"]).parent / spec
         model = _parsed_model(reader.read_text(path, "model file"), str(path))
     flag = None if args.velocity is None else _floats(args.velocity, 3, "--velocity")
-    v = _option(flag, cfg, "velocity", reader.vec3, [0.0, 0.0, 0.0])
-    return model, np.array(v, dtype=float)
+    return model, BoostParams(_option(flag, cfg, "velocity", reader.vec3, [0.0, 0.0, 0.0]), units)
 
 
 def _resolve_grid(args, cfg: dict) -> tuple[list[float], list[list[float]]]:
@@ -191,7 +191,7 @@ def _resolve_efield(args, cfg: dict) -> np.ndarray:
     e = _option(flag, cfg, "E", _E, None)
     if e is None:
         raise ConfigError("ohm needs an electric field amplitude (--E or the 'E' config key)")
-    return np.array(e, dtype=complex)
+    return _checked(e, (3,), complex, "E")
 
 
 # the config's E: 3 entries, each a real number or a [re, im] pair
@@ -276,47 +276,44 @@ def _sweep_rows(table: np.ndarray, points: np.ndarray, csv_texts) -> str:
     return "".join([omega_text[i] + k_text[j] + ",".join(map(str, row)) + "\n" for i, j, row in rows])
 
 
-def _sampled(model: MaterialModel, omega: np.ndarray, k: np.ndarray) -> tuple:
-    """The transform route's first stage at N points, under the caller's errstate: sigma, and the faults of the
-    point, the model and the tensor, in the order a transform makes those checks."""
-    sigma, model_faults = model._evaluate(omega, k)
-    point, tensor = _frame_faults(sigma, omega, k)  # the point is checked before the model, its tensor after
-    return sigma, [point, *model_faults, tensor]
-
-
-def _boosted(sigma: np.ndarray, omega: np.ndarray, k: np.ndarray, bp: BoostParams) -> tuple:
-    """Its second stage, after a transform's check of the velocity: sigma', omega' and k' by the closed form, their
-    residual against the oracle's sigma', and the faults of both laws in order, each law's ending with its result's."""
-    sigma_p, omega_p, k_p, faults = _direct(sigma, omega, k, bp)
+def _route(model: MaterialModel, bp: BoostParams, omega: np.ndarray, k: np.ndarray) -> tuple:
+    """The transform route at N checked points: sigma by the model, sigma', omega' and k' by the closed form, and
+    their residual against the oracle's sigma'; with the faults in the order a transform makes its checks: the
+    model's, its tensor's, each law's ending with its result's, and last the residual's finiteness."""
+    sigma, faults = model._evaluate(omega, k)
+    sigma_p, omega_p, k_p, direct_faults = _direct(sigma, omega, k, bp)
     sigma_o, omega_o, k_o, oracle_faults = _oracle(sigma, omega, k, bp.matrix(), bp.units)
-    faults += [*_frame_faults(sigma_p, omega_p, k_p), *oracle_faults, *_frame_faults(sigma_o, omega_o, k_o)]
-    return sigma_p, omega_p, k_p, _rel_errors(sigma_p, sigma_o), faults
+    residual = _rel_errors(sigma_p, sigma_o)
+
+    def replay(i: int) -> None:  # _row's error for the residual column
+        raise InvariantViolation(f"output residual = {float(residual[i])!r} is not finite")
+
+    tensor = _frame_faults(sigma, omega, k)[1]  # the point's own check is the input check, made already
+    faults += [tensor, *direct_faults, *_frame_faults(sigma_p, omega_p, k_p), *oracle_faults,
+               *_frame_faults(sigma_o, omega_o, k_o), (~np.isfinite(residual), replay)]
+    return sigma, sigma_p, omega_p, k_p, residual, faults
 
 
-def _sweep_chunk(model, bp: BoostParams, grid, csv_texts, start: int, stop: int) -> tuple[list, list]:
+def _sweep_chunk(model, bp: BoostParams, grid: Wavevector4, csv_texts, start: int, stop: int) -> tuple[list, list]:
     """Grid points start:stop through the transform route, a block at a time: the text of each block's kept rows
     (_sweep_rows), and the skipped points' (omega, k, reason) in grid order."""
     texts, skipped = [], []
-    with np.errstate(all="ignore"):  # the faults flag the points where a transform raises
-        for lo in range(start, stop, SWEEP_BLOCK):
-            omega, k = (axis[lo:min(lo + SWEEP_BLOCK, stop)] for axis in grid)
-            sigma, faults = _sampled(model, omega, k)
-            sigma_p, omega_p, k_p, residual, boost_faults = _boosted(sigma, omega, k, bp)
-            faults += boost_faults
-            keep = np.ones(len(omega), dtype=bool)
-            for i in np.flatnonzero(_flagged(faults)).tolist():
-                try:
-                    _raise(faults, i)
-                except DomainError as exc:
-                    skipped.append((omega[i].item(), k[i].tolist(), f"{type(exc).__name__}: {exc}"))
-                    keep[i] = False
-                except InvariantViolation:
-                    if faults[0][0][i]:  # the grid point itself is not finite: an input, whose error names no point
-                        raise
-                    with _at(omega[i], k[i]):
-                        raise
-            table = np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual))[keep]
-            texts.append(_sweep_rows(table, lo + np.flatnonzero(keep), csv_texts))
+    for lo in range(start, stop, SWEEP_BLOCK):
+        block = slice(lo, min(lo + SWEEP_BLOCK, stop))
+        omega, k = grid.omega[block], grid.kvec[block]
+        _, sigma_p, omega_p, k_p, residual, faults = _route(model, bp, omega, k)
+        keep = np.ones(len(omega), dtype=bool)
+        for i in np.flatnonzero(_flagged(faults)).tolist():
+            try:
+                _raise(faults, i)
+            except DomainError as exc:
+                skipped.append((omega[i].item(), k[i].tolist(), f"{type(exc).__name__}: {exc}"))
+                keep[i] = False
+            except InvariantViolation:
+                with _at(omega[i], k[i]):
+                    raise
+        table = np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual))[keep]
+        texts.append(_sweep_rows(table, lo + np.flatnonzero(keep), csv_texts))
     return texts, skipped
 
 
@@ -373,31 +370,24 @@ def _in_chunks(compute, n: int) -> list:
 def cmd_transform(args) -> int:
     """The sweep's route at one point; its first fault raises, naming the point."""
     cfg, units, fmt, path = _setup(args, "structured")
-    model, v = _model_and_velocity(args, cfg)
+    model, bp = _model_and_boost(args, cfg, units)
     kw = _resolve_single_point(args, cfg)
-    omega, k = np.array([kw.omega]), kw.kvec[None]
-    with np.errstate(all="ignore"):
-        sigma, faults = _sampled(model, omega, k)
-        with _at(kw.omega, kw.kvec):
-            _raise(faults)
-        bp = BoostParams(v, units)  # after the model: a point it rejects is reported before a bad velocity
-        sigma_p, omega_p, k_p, residual, faults = _boosted(sigma, omega, k, bp)
-        with _at(kw.omega, kw.kvec):
-            _raise(faults)
+    sigma, sigma_p, omega_p, k_p, residual, faults = _route(model, bp, np.array([kw.omega]), kw.kvec[None])
+    with _at(kw.omega, kw.kvec):
+        _raise(faults)
     _write(path, [_render(fmt, _TRANSFORM, [_row(_TRANSFORM, kw, omega_p, k_p, bp.gamma, sigma, sigma_p, residual)])])
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg, units, fmt, path = _setup(args, "csv")
-    model, v = _model_and_velocity(args, cfg)
+    model, bp = _model_and_boost(args, cfg, units)
     omegas, ks = _resolve_grid(args, cfg)
     if not omegas or not ks:
         raise ConfigError("sweep needs at least one omega and one k (--omega/--k or the 'grid' config key)")
-    bp = BoostParams(v, units)  # reject superluminal input before looping
-    grid = np.repeat(omegas, len(ks)), np.tile(ks, (len(omegas), 1))  # omega-major
+    grid = Wavevector4(np.repeat(omegas, len(ks)), np.tile(ks, (len(omegas), 1)))  # omega-major
     csv_texts = ([f"{w}," for w in omegas], ["".join(f"{x}," for x in kv) for kv in ks]) if fmt == "csv" else None
-    results = _in_chunks(functools.partial(_sweep_chunk, model, bp, grid, csv_texts), len(grid[0]))
+    results = _in_chunks(functools.partial(_sweep_chunk, model, bp, grid, csv_texts), len(grid.omega))
     skipped = [skip for _, skips in results for skip in skips]
     for w, kv, reason in skipped:
         print(f"skipped omega={w!r} k={kv!r}: {reason}", file=sys.stderr)
@@ -416,23 +406,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_ohm(args) -> int:
     cfg, units, fmt, path = _setup(args, "structured")
-    model, v = _model_and_velocity(args, cfg)
+    model, bp = _model_and_boost(args, cfg, units)
     kw = _resolve_single_point(args, cfg)
     evec = _resolve_efield(args, cfg)
-
-    bp = BoostParams(v, units)
     with _at(kw.omega, kw.kvec):
         kw_p = transform_wavevector(bp.matrix(), kw, units)
         sigma_p = model.evaluate(kw_p)
-        require_dynamic(kw.omega)  # fields_from_electric's first check; its next, of the input E, names no point
-    evec = _checked(evec, (3,), complex, "E")
-    with _at(kw.omega, kw.kvec):
         fields = fields_from_electric(evec, kw)
         gen = generalized_ohm(sigma_p, bp, fields)
 
     s0 = complex((sigma_p / 3.0).trace())  # a third of each entry: the sum stays finite for finite sigma'
     iso_defect = float(np.abs(sigma_p - s0 * _EYE3).max())
-    scalar = iso_defect <= ISOTROPY_RTOL * max(abs(s0), 1e-14)
+    # |s0| as 2 |s0/2| (halving is exact for normal numbers): inf, not OverflowError, where |s0| is beyond float range
+    scalar = iso_defect <= ISOTROPY_RTOL * max(2.0 * abs(s0 / 2.0), 1e-14)
     if args.textbook and not scalar:
         raise ConfigError(
             f"textbook formula requires a scalar conductivity; got anisotropy {iso_defect:.3e} at {kw_p!r}"
@@ -440,7 +426,7 @@ def cmd_ohm(args) -> int:
     textbook, nulls = [], frozenset()
     if scalar:
         tb = textbook_ohm(s0, bp, fields)
-        nr = textbook_ohm_nr(s0, v, fields)
+        nr = textbook_ohm_nr(s0, bp.v, fields)
         diffs = [np.abs(gen.drift_current - tb).max(), np.abs(gen.drift_current - nr).max(), np.abs(tb - nr).max()]
         textbook = [tb, nr, diffs]
     else:
@@ -525,7 +511,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # numpy's floating-point warnings are off: every computed value is checked (the route's faults, _row, the
+        # verify suites' rule that NaN fails), so an overflow or an invalid value surfaces as that check's error
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except (ConfigError, ParseError, InvariantViolation, SpeedLimit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

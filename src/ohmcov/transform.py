@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import BoostResonance
 from .minkowski import (
+    ETA,
     NATURAL,
     _EYE3,
     BoostParams,
@@ -45,7 +46,6 @@ from .minkowski import (
     _shared,
     _stack,
     _transform_points,
-    inverse,
 )
 from .response import STATIC_OMEGA_FLOOR, _reconstruct, _static, reconstruct_full, require_dynamic, sigma_from_chi
 
@@ -242,7 +242,8 @@ def _oracle(sigma, omega, k, lam: LorentzMatrix, units: UnitsConfig) -> tuple:
     with np.errstate(all="ignore"):  # a vanishing omega' divides by zero; the faults flag it
         chi = (1j * omega)[:, None, None] * sigma
         full = _reconstruct(chi, omega, k, units)
-        primed = (lam.entries @ full @ inverse(lam).entries)[:, 1:, 1:]
+        # inverse(lam)'s entries, eta lam^T eta, without the O(1,3) check lam has passed already
+        primed = (lam.entries @ full @ (ETA @ lam.entries.swapaxes(-1, -2) @ ETA))[:, 1:, 1:]
         omega_p, k_p = _transform_points(lam, omega, k, units)
         sigma_p = primed / (1j * omega_p)[:, None, None]
     bad = ~(np.isfinite(full).all(axis=(1, 2)) & np.isfinite(primed).all(axis=(1, 2)) & np.isfinite(omega_p))

@@ -109,17 +109,15 @@ def test_transform_out_of_range_exit_3(tmp_path, capsys):
                    "at k = [0.0, 0.0, 0.0]\n")
 
 
-def test_static_point_is_reported_before_the_velocity(tmp_path, capsys):
-    """transform evaluates the model before it checks the velocity; sweep
-    checks the velocity before it visits any point."""
+def test_velocity_is_checked_before_the_point(tmp_path, capsys):
+    """Every point command checks its inputs, the velocity among them, before it computes anything at a point:
+    a superluminal velocity at a static point exits 2 on the velocity, in transform as in sweep."""
     path = model_path(tmp_path, Drude(2.0, 0.5))
     point = ["--model", path, "--velocity=1.5,0,0", "--omega=0", "--k=0,0,0"]
-    code, out, err = run_cli(capsys, "transform", *point)
-    assert (code, out) == (3, "")
-    assert err == "error: at omega=0.0 k=[0.0, 0.0, 0.0]: |omega| = 0.0 is below the static floor 1.0e-14\n"
-    code, out, err = run_cli(capsys, "sweep", *point)
-    assert (code, out) == (2, "")
-    assert err == "error: |v| = 1.5 is at or above the speed of light c = 1.0\n"
+    for command in ("transform", "sweep"):
+        code, out, err = run_cli(capsys, command, *point)
+        assert (code, out) == (2, "")
+        assert err == "error: |v| = 1.5 is at or above the speed of light c = 1.0\n"
 
 
 def test_transform_missing_model_exit_2(tmp_path, capsys):
@@ -221,6 +219,17 @@ def test_ohm_scalar_conductivity_beyond_a_third_of_float_range_keeps_its_textboo
     assert record["textbook"]["drift"] == record["drift"] == [[8.75e7, 0.0], [0.0, 0.0], [0.0, 0.0]]
 
 
+def test_ohm_scalar_conductivity_beyond_float_range_keeps_its_textbook_outputs(tmp_path, capsys):
+    """|s0| itself is beyond float range here.  The isotropy test's scale is then inf, not an OverflowError (a
+    traceback and exit 1), so the conductivity is a scalar and the textbook outputs are printed, all finite."""
+    path = model_path(tmp_path, ConstantScalar(HUGE_SIGMA))
+    code, out, err = run_cli(capsys, "ohm", f"--model={path}", "--velocity=0.1,0,0", "--omega=1", "--k=0,0,0",
+                             "--E=1e-300,0,0")
+    assert (code, err) == (0, "")
+    record = json.loads(out, parse_constant=reject_constant)
+    assert record["textbook"] is not None and finite_numbers(record)
+
+
 @pytest.mark.parametrize("argv", [["transform", "--omega=1", "--k=1e301,-1e301,0"],
                                   ["sweep", "--omega=1,2", "--k=1,0,0;1e301,-1e301,0"]])
 def test_overflowing_v_dot_k_is_no_resonance(capsys, argv):
@@ -235,16 +244,19 @@ def test_overflowing_v_dot_k_is_no_resonance(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["transform", "--velocity=inf,0,0", "--omega=1", "--k=1,0,0"], "velocity entries must be finite"),
     (["ohm", "--velocity=0.1,0,0", "--omega=1", "--k=1,0,0", "--E=0,nan,0"], "E entries must be finite"),
+    (["sweep", "--velocity=0.1,0,0", "--omega=1,2", "--k=1,0,0;0,inf,0"], "kvec entries must be finite"),
 ])
 def test_errors_about_inputs_name_no_point(capsys, argv, message):
-    """An error about a value computed at the requested point names the point; one about an input, checked
-    after the first of those, keeps its text."""
+    """Every input is checked where it is read, before anything is computed at the requested point: an error
+    about an input keeps its text, and only an error about a value computed at the point names the point."""
     drude = Path(__file__).parent / "golden" / "drude.json"
     code, out, err = run_cli(capsys, argv[0], f"--model={drude}", *argv[1:])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+HUGE_SIGMA = 1.5e308 + 1.5e308j  # a constant conductivity whose modulus is beyond float range
 
 
 def test_ohm_overflowing_b_prints_one_error_line(capsys):
@@ -271,7 +283,7 @@ def test_ohm_non_finite_output_exits_2(capsys, fmt):
 def test_transform_non_finite_residual_exits_2(tmp_path, capsys):
     """|sigma| overflows here, so the residual's scale does and the residual is NaN: the row is rejected, not
     written."""
-    path = model_path(tmp_path, ConstantScalar(1.5e308 + 1.5e308j))
+    path = model_path(tmp_path, ConstantScalar(HUGE_SIGMA))
     code, out, err = run_cli(capsys, "transform", f"--model={path}", "--omega=1", "--k=0,0,0")
     message = "error: at omega=1.0 k=[0.0, 0.0, 0.0]: output residual = nan is not finite\n"
     assert (code, out, err) == (2, "", message)
@@ -288,13 +300,20 @@ def below_top_speed(v: list) -> list:
     return v if norm <= 1.0 - 1e-11 else [x * ((1.0 - 1e-11) / norm) for x in v]
 
 
+GOLDEN_MODEL_NAMES = ["drude.json", "constant.json", "diagonal.json"]
+GOLDEN_MODELS = st.sampled_from(GOLDEN_MODEL_NAMES)
+VELOCITIES = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(below_top_speed)
+EXTREME_VECTORS = st.lists(EXTREME_FLOATS, min_size=3, max_size=3)
+
+
+def joined(xs: list) -> str:
+    return ",".join(map(repr, xs))
+
+
 TRANSFORM_ARGV = st.builds(
-    lambda model, v, omega, k: [f"--model={GOLDEN / model}", "--velocity=" + ",".join(map(repr, v)),
-                                f"--omega={omega!r}", "--k=" + ",".join(map(repr, k))],
-    st.sampled_from(["drude.json", "constant.json", "diagonal.json"]),
-    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(below_top_speed),
-    EXTREME_FLOATS,
-    st.lists(EXTREME_FLOATS, min_size=3, max_size=3),
+    lambda model, v, omega, k: [f"--model={GOLDEN / model}", f"--velocity={joined(v)}", f"--omega={omega!r}",
+                                f"--k={joined(k)}"],
+    GOLDEN_MODELS, VELOCITIES, EXTREME_FLOATS, EXTREME_VECTORS,
 )
 
 
@@ -312,6 +331,92 @@ def reject_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
+def run_request(argv: list) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory) -> dict:
+    """Model files by name: the golden ones, and "huge", a constant scalar whose modulus is beyond float range."""
+    huge = tmp_path_factory.mktemp("models") / "huge.json"
+    save_model(ConstantScalar(HUGE_SIGMA), huge)
+    return {**{name: GOLDEN / name for name in GOLDEN_MODEL_NAMES}, "huge": huge}
+
+
+FUZZ_MODELS = st.sampled_from([*GOLDEN_MODEL_NAMES, "huge"])
+OHM_ARGV = st.builds(
+    lambda v, omega, k, e: [f"--velocity={joined(v)}", f"--omega={omega!r}", f"--k={joined(k)}", f"--E={joined(e)}"],
+    VELOCITIES, EXTREME_FLOATS, EXTREME_VECTORS, EXTREME_VECTORS,
+)
+OHM_NOTE = "conductivity is not scalar at the boosted point; textbook outputs omitted\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+@settings(max_examples=300, deadline=None)
+@example(model="constant.json",
+         argv=["--velocity=-0.32572577677661774,0.07365416180597406,0.8362317224328075", "--omega=1e-14",
+               "--k=-1e+300,-1e-300,-1.0", "--E=1e+150,5e-324,-1e-09"])
+@given(model=FUZZ_MODELS, argv=OHM_ARGV)
+def test_ohm_requests_keep_the_exit_code_contract(fuzz_models, fmt, model, argv):
+    """Any ohm request at extreme floats exits 0, 2 or 3, without a numpy warning (an error under this suite's
+    filter): exit 0 writes only finite numbers, in JSON that parses as such, and on stderr at most the note that
+    the textbook outputs are omitted, exactly when they are; any other exit writes nothing on stdout and one error
+    line on stderr."""
+    code, out, err = run_request(["ohm", f"--model={fuzz_models[model]}", *argv, f"--format={fmt}"])
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and one_error_line(err)
+    elif fmt == "structured":
+        record = json.loads(out, parse_constant=reject_constant)
+        assert err in ("", OHM_NOTE) and finite_numbers(record) and (record["textbook"] is None) == bool(err)
+    else:
+        header, row = out.splitlines()
+        cells = row.split(",")
+        assert err in ("", OHM_NOTE) and all(math.isfinite(float(cell)) for cell in cells if cell)
+        assert ("" in cells) == bool(err)
+
+
+SWEEP_ARGV = st.builds(
+    lambda v, omegas, ks: [f"--velocity={joined(v)}", f"--omega={joined(omegas)}",
+                           "--k=" + ";".join(map(joined, ks))],
+    VELOCITIES, st.lists(EXTREME_FLOATS, min_size=1, max_size=2), st.lists(EXTREME_VECTORS, min_size=1, max_size=2),
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+@settings(max_examples=300, deadline=None)
+@example(model="huge", argv=["--omega=1", "--k=0,0,0"])
+@given(model=FUZZ_MODELS, argv=SWEEP_ARGV)
+def test_sweep_requests_keep_the_exit_code_contract(fuzz_models, fmt, model, argv):
+    """Any sweep of up to two omegas and two k at extreme floats exits 0, 2 or 3, without a numpy warning (an error
+    under this suite's filter).  Exit 0 writes only finite numbers, in JSON that parses as such, and a `skipped`
+    line on stderr per skipped point; exit 3 writes nothing on stdout, and the `skipped` lines and the line that
+    no row was produced on stderr; exit 2 writes nothing on stdout and one error line on stderr."""
+    code, out, err = run_request(["sweep", f"--model={fuzz_models[model]}", *argv, f"--format={fmt}"])
+    lines = err.splitlines()
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out == "" and one_error_line(err)
+        return
+    if code == 3:
+        assert out == "" and lines.pop() == "sweep produced no rows: every grid point was skipped"
+    elif fmt == "structured":
+        doc = json.loads(out, parse_constant=reject_constant)
+        assert finite_numbers(doc) and doc["rows"] and len(doc["skipped"]) == len(lines)
+    else:
+        header, *rows = out.splitlines()
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+    assert all(line.startswith("skipped omega=") for line in lines)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "structured"])
 @settings(max_examples=300, deadline=None)
 @example(argv=[f"--model={GOLDEN / 'diagonal.json'}",
@@ -325,13 +430,10 @@ def test_transform_requests_keep_the_exit_code_contract(fmt, argv):
     """Any transform request at extreme floats exits 0, 2 or 3, without a numpy warning (an error under this suite's
     filter): exit 0 writes only finite numbers, in JSON that parses as such, and nothing on stderr; any other exit
     writes nothing on stdout and one error line on stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["transform", *argv, f"--format={fmt}"])
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = run_request(["transform", *argv, f"--format={fmt}"])
     assert code in (0, 2, 3)
     if code:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert out == "" and one_error_line(err)
     elif fmt == "structured":
         assert err == "" and finite_numbers(json.loads(out, parse_constant=reject_constant))
     else:
@@ -472,6 +574,16 @@ def test_sweep_structured_format(tmp_path, capsys):
     assert doc["skipped"][0]["omega"] == 1.0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+def test_sweep_non_finite_residual_exits_2(tmp_path, capsys, fmt):
+    """As in transform, a point whose residual is not finite ends the sweep there, in grid order, with exit 2
+    naming it: no nan cell, and no NaN in the JSON."""
+    path = model_path(tmp_path, ConstantScalar(HUGE_SIGMA))
+    code, out, err = run_cli(capsys, "sweep", f"--model={path}", "--omega=1,2", "--k=0,0,0", f"--format={fmt}")
+    message = "error: at omega=1.0 k=[0.0, 0.0, 0.0]: output residual = nan is not finite\n"
+    assert (code, out, err) == (2, "", message)
+
+
 def test_sweep_no_grid_exit_2(tmp_path, capsys):
     path = model_path(tmp_path, ConstantScalar(1.0))
     code, _, err = run_cli(capsys, "sweep", "--model", path)
@@ -540,12 +652,7 @@ JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_ENTRIES, max_size=5),
                         st.lists(JSON_ENTRIES, min_size=3, max_size=3))
 
 
-def call_main(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        return main(argv), err.getvalue()
-
-
+@settings(deadline=None)  # writes three files and runs transform three times per example
 @given(value=JSON_VALUES)
 def test_config_and_model_fields_share_their_rules(value):
     """A 3-vector from a config file (velocity, an entry of grid.k) and from a model file (a tabulated sample's k)
@@ -566,7 +673,7 @@ def test_config_and_model_fields_share_their_rules(value):
             if config:
                 (tmp / config[0]).write_text(json.dumps(config[1]))
             argv = [f"--config={tmp / config[0]}"] if config else [f"--model={tmp / 't.json'}", *POINT]
-            code, err = call_main(["transform", *argv])
+            code, _, err = run_request(["transform", *argv])
             refused = err.startswith(f"error: {where}")
             assert code == 2 or not refused
             refusals.append(err[len(f"error: {where}"):] if refused else None)

@@ -46,11 +46,12 @@ from .verify import _rel_errors, run_all
 __all__ = ["main"]
 
 # Output layouts.  Every command renders its records from the layout: a layout lists (record key, CSV column prefix,
-# kind), and a record is one flat row of its leaves' values in the layout's column order.  The kind gives the shape
-# of the key's JSON value and its CSV column suffixes; a complex value is its [re, im] pairs.  Dotted keys reach into
-# nested objects.  JSON fills the layout's cached json.dumps(record, indent=2) text, "%s" at each leaf, with json's
-# own text of the row's values, so the bytes are the standard library's; CSV fills its line with str of the same
-# values.  A key that is None (ohm's "textbook") is null in JSON and blank cells in CSV, and has no values in the row.
+# kind), and a record is one flat row of its leaves' values in the layout's column order.  The kind gives the shape of
+# the key's JSON value and its CSV column suffixes; a complex value is its [re, im] pairs.  Dotted keys reach into
+# nested objects.  JSON fills the layout's cached json.dumps(record, indent=2) text, "%s" at each leaf, with json's own
+# text of the row's values, so the bytes are the standard library's; CSV fills its line with str of the same values, as
+# a sweep row does in both formats.  A key that is None (ohm's "textbook") is null in JSON and blank cells in CSV, and
+# has no values in the row.
 _KINDS = {
     "scalar": ((), [""]),
     "vector": ((3,), ["x", "y", "z"]),
@@ -264,18 +265,6 @@ def _write(path: str | None, chunks) -> None:
             fh.writelines(chunks)
 
 
-def _sweep_rows(table: np.ndarray, points: np.ndarray, csv_texts) -> str:
-    """Sweep rows, in SWEEP_COLUMNS order, at their grid points as text: CSV lines from each grid omega's and k's text
-    in csv_texts or, where that is None, JSON records, each after its separator."""
-    if csv_texts is None:  # each record as the document's "rows" hold it, after the separator from the one before
-        cells = json.dumps(table.ravel().tolist())[1:-1].split(", ") if table.size else ()
-        return (",\n    " + _template(_SWEEP, "structured").replace("\n", "\n    ")) * len(table) % tuple(cells)
-    omega_text, k_text = csv_texts
-    wi, ki = np.divmod(points, len(k_text))  # omega-major
-    rows = zip(wi.tolist(), ki.tolist(), table[:, 4:].tolist())
-    return "".join([omega_text[i] + k_text[j] + ",".join(map(str, row)) + "\n" for i, j, row in rows])
-
-
 def _route(model: MaterialModel, bp: BoostParams, omega: np.ndarray, k: np.ndarray) -> tuple:
     """The transform route at N checked points: sigma by the model, sigma', omega' and k' by the closed form, and
     their residual against the oracle's sigma'; with the faults in the order a transform makes its checks: the
@@ -294,10 +283,11 @@ def _route(model: MaterialModel, bp: BoostParams, omega: np.ndarray, k: np.ndarr
     return sigma, sigma_p, omega_p, k_p, residual, faults
 
 
-def _sweep_chunk(model, bp: BoostParams, grid: Wavevector4, csv_texts, start: int, stop: int) -> tuple[list, list]:
-    """Grid points start:stop through the transform route, a block at a time: the text of each block's kept rows
-    (_sweep_rows), and the skipped points' (omega, k, reason) in grid order."""
-    texts, skipped = [], []
+def _sweep_chunk(model, bp: BoostParams, grid: Wavevector4, texts: tuple, row: str, start: int, stop: int) -> tuple:
+    """Grid points start:stop through the transform route, a block at a time: each block's text, the row template
+    filled per kept point with its grid texts and values; and the skipped points' (omega, k, reason) in grid order."""
+    omega_texts, k_texts = texts
+    blocks, skipped = [], []
     for lo in range(start, stop, SWEEP_BLOCK):
         block = slice(lo, min(lo + SWEEP_BLOCK, stop))
         omega, k = grid.omega[block], grid.kvec[block]
@@ -312,9 +302,12 @@ def _sweep_chunk(model, bp: BoostParams, grid: Wavevector4, csv_texts, start: in
             except InvariantViolation:
                 with _at(omega[i], k[i]):
                     raise
-        table = np.column_stack((omega, k, omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual))[keep]
-        texts.append(_sweep_rows(table, lo + np.flatnonzero(keep), csv_texts))
-    return texts, skipped
+        # every value of a kept row is finite (the route's faults), so str writes json's text of it
+        values = np.column_stack((omega_p, k_p, sigma_p.view(float).reshape(-1, 18), residual))[keep].tolist()
+        wi, ki = np.divmod(lo + np.flatnonzero(keep), len(k_texts))
+        blocks.append("".join([row % (omega_texts[i], *k_texts[j], *cells)
+                               for i, j, cells in zip(wi.tolist(), ki.tolist(), values)]))
+    return blocks, skipped
 
 
 def _in_chunks(compute, n: int) -> list:
@@ -386,21 +379,23 @@ def cmd_sweep(args) -> int:
     if not omegas or not ks:
         raise ConfigError("sweep needs at least one omega and one k (--omega/--k or the 'grid' config key)")
     grid = Wavevector4(np.repeat(omegas, len(ks)), np.tile(ks, (len(omegas), 1)))  # omega-major
-    csv_texts = ([f"{w}," for w in omegas], ["".join(f"{x}," for x in kv) for kv in ks]) if fmt == "csv" else None
-    results = _in_chunks(functools.partial(_sweep_chunk, model, bp, grid, csv_texts), len(grid.omega))
+    texts = [repr(w) for w in omegas], [[repr(x) for x in kv] for kv in ks]
+    # each row after the separator from the one before; the first row drops its first character
+    row = "\n" + _template(_SWEEP, fmt) if fmt == "csv" else ",\n    " + _template(_SWEEP, fmt).replace("\n", "\n    ")
+    results = _in_chunks(functools.partial(_sweep_chunk, model, bp, grid, texts, row), len(grid.omega))
     skipped = [skip for _, skips in results for skip in skips]
     for w, kv, reason in skipped:
         print(f"skipped omega={w!r} k={kv!r}: {reason}", file=sys.stderr)
-    texts = [text for block_texts, _ in results for text in block_texts if text]  # those of blocks with kept rows
-    if not texts:
+    blocks = [text for block_texts, _ in results for text in block_texts if text]  # those of blocks with kept rows
+    if not blocks:
         print("sweep produced no rows: every grid point was skipped", file=sys.stderr)
         return 3
     if fmt == "csv":
-        _write(path, [",".join(SWEEP_COLUMNS) + "\n", *texts])
-    else:  # the first row drops the comma of its separator
+        head, tail = ",".join(SWEEP_COLUMNS) + "\n", ""
+    else:
         skipped = [{"omega": w, "k": kv, "reason": reason} for w, kv, reason in skipped]
         head, tail = json.dumps({"rows": ["%s"], "skipped": skipped}, indent=2).split('\n    "%s"', 1)
-        _write(path, [head, texts[0][1:], *texts[1:], tail + "\n"])
+    _write(path, [head, blocks[0][1:], *blocks[1:], tail + "\n"])
     return 0
 
 

@@ -139,6 +139,13 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled(v: np.ndarray) -> tuple:
+    """(u, e) with v = u 2^e, 2^e near the largest |entry| of v or of each row of a stack: exact, so u.u neither
+    overflows nor underflows where v.v would, and sqrt(u.u) 2^e is sqrt(v.v) to the bit where v.v is normal."""
+    e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]
+    return np.ldexp(v, -e), e[..., 0]
+
+
 def _mat(x) -> np.ndarray:
     """x with two trailing axes, to scale a 3x3 block or a stack of them."""
     return np.asarray(x)[..., None, None]
@@ -238,8 +245,10 @@ class BoostParams:
     def __post_init__(self) -> None:
         v = _checked(self.v, (3,), float, "velocity", stacked=True)
         c = self.units.c
-        with np.errstate(over="ignore"):  # a |v|^2 beyond float range is inf, over the limit as it should be
-            speed = np.sqrt(_dots(v, v))
+        u, e = _scaled(v)
+        unit_speed = np.sqrt(_dots(u, u))
+        with np.errstate(over="ignore"):  # a |v| beyond float range is inf, over the limit as it should be
+            speed = np.ldexp(unit_speed, e)
         over = speed / c > 1.0 - SPEED_MARGIN
         if over.any():
             speed = float(np.ravel(speed)[_first(over)])
@@ -247,7 +256,7 @@ class BoostParams:
         beta = speed / c
         gamma = 1.0 / np.sqrt(1.0 - beta * beta)
         # at rest gamma - 1 = 0, so a unit denominator leaves Lhat the identity
-        lhat = _EYE3 + _mat(gamma - 1.0) * _outer(v, v) / _mat(np.where(speed > 0.0, speed * speed, 1.0))
+        lhat = _EYE3 + _mat(gamma - 1.0) * _outer(u, u) / _mat(np.where(unit_speed > 0.0, unit_speed * unit_speed, 1.0))
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "gamma", gamma if v.ndim == 2 else float(gamma))
         object.__setattr__(self, "lambda_hat", lhat)
@@ -255,8 +264,9 @@ class BoostParams:
     @property
     def lambda_hat_inv(self) -> np.ndarray:
         """Inverse spatial block, 1 + (1/gamma - 1) v v^T / |v|^2."""
-        v2 = _dots(self.v, self.v)
-        return _EYE3 + _mat(1.0 / self.gamma - 1.0) * _outer(self.v, self.v) / _mat(np.where(v2 == 0.0, 1.0, v2))
+        u = _scaled(self.v)[0]
+        u2 = _dots(u, u)
+        return _EYE3 + _mat(1.0 / self.gamma - 1.0) * _outer(u, u) / _mat(np.where(u2 == 0.0, 1.0, u2))
 
     def matrix(self) -> "LorentzMatrix":
         """The 4x4 boost, [[gamma, -gamma v^T/c], [-gamma v/c, Lhat]],
@@ -393,7 +403,8 @@ def decompose(
         parity = -1
     gamma = m[0, 0]
     v = -units.c * m[1:, 0] / gamma
-    speed = float(np.sqrt(v @ v))
+    u, e = _scaled(v)
+    speed = float(np.ldexp(np.sqrt(u @ u), e))
     if not np.isfinite(speed) or speed / units.c > 1.0 - SPEED_MARGIN:
         raise DegenerateDecomposition(f"time column encodes |v|/c = {speed / units.c!r}, too close to 1")
     boost = BoostParams(v, units).matrix()

@@ -282,6 +282,24 @@ def test_boost_stack_is_n_boosts(rng):
     assert str(stacked.value) == str(single.value)
 
 
+def test_a_boost_stack_raises_its_first_rejected_point_with_that_points_error():
+    """The boosts raise through fault lists: the first point any check rejects, with its own error, not the error
+    of the first check that rejects some point.  Point 1 alone fails the resonance check, which runs before the
+    result's check that point 0 fails, and the stack raises point 0's error."""
+    v = np.array([0.5, 0.0, 0.0])
+    sigma = np.array([1.7e308 * np.eye(3), np.eye(3)], dtype=complex)
+    s = FrameSample(sigma, Wavevector4(np.array([1.0, 0.5]), np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])))
+    point = [FrameSample(sigma[i], Wavevector4(s.at.omega[i], s.at.kvec[i])) for i in range(2)]
+    routes = [(boost_sigma_direct, v, "conductivity"), (transform_sigma_oracle, boost_matrix(v), "spatial response")]
+    for route, boost, name in routes:
+        with pytest.raises(BoostResonance):
+            route(point[1], boost)
+        for stack in (point[0], s):
+            with pytest.raises(InvariantViolation) as info:
+                route(stack, boost)
+            assert str(info.value) == f"{name} entries must be finite"
+
+
 def kernel_is_single_calls(kernel, single, n=N):
     """kernel(idx) runs the public functions on the stack of the points idx
     and returns a tuple of per-point arrays; single(i) runs them on point i
@@ -695,9 +713,10 @@ def edge_sweep_argv(tmp_path) -> list[str]:
 
 def test_sweep_csv_cells_are_the_structured_values(tmp_path, capsys):
     """Over three blocks, with skipped points on both sides of the edges and
-    cells such as -0.0, 1e-300, 1e+16 and 1e-05, each CSV cell is repr of the
-    structured output's value, and the CSV text is what csv.writer writes
-    for those rows: no cell needs quoting."""
+    cells such as -0.0, 1e-300, 1e+16 and 1e-05, the structured text is what
+    json.dumps(indent=2) writes for its document, each CSV cell is repr of
+    the structured output's value, and the CSV text is what csv.writer
+    writes for those rows: no cell needs quoting."""
     argv = edge_sweep_argv(tmp_path)
     outputs = {}
     for fmt in ("csv", "structured"):
@@ -705,6 +724,7 @@ def test_sweep_csv_cells_are_the_structured_values(tmp_path, capsys):
         outputs[fmt] = capsys.readouterr()
     assert outputs["csv"].err == outputs["structured"].err
     doc = json.loads(outputs["structured"].out)
+    assert outputs["structured"].out == json.dumps(doc, indent=2) + "\n"
     assert len(doc["skipped"]) == 51 and outputs["csv"].err.count("skipped omega=") == 51
     keys = ["omega", "k", "omega_prime", "k_prime", "sigma_prime", "residual"]
     assert all(list(record) == keys for record in doc["rows"])

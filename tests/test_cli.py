@@ -241,6 +241,18 @@ def test_overflowing_v_dot_k_is_no_resonance(capsys, argv):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("argv", [["--c=1e200", "--velocity=5e199,0,0", "--omega=2e200", "--k=1,0.5,0"],
+                                  ["--c=1e-300", "--velocity=5e-301,0,0", "--omega=1", "--k=1,0,0"]])
+def test_ohm_boosts_at_an_extreme_c(capsys, argv):
+    """|v|^2 is beyond float range at c = 1e200, and the entries of v v^T underflow to zero at c = 1e-300.  A
+    boost at |v| = c/2 still has gamma's bits at c = 1, without a numpy warning (an error under this suite's
+    filter)."""
+    drude = Path(__file__).parent / "golden" / "drude.json"
+    code, out, err = run_cli(capsys, "ohm", f"--model={drude}", *argv, "--E=1,0,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["gamma"] == 1.0 / math.sqrt(0.75)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["transform", "--velocity=inf,0,0", "--omega=1", "--k=1,0,0"], "velocity entries must be finite"),
     (["ohm", "--velocity=0.1,0,0", "--omega=1", "--k=1,0,0", "--E=0,nan,0"], "E entries must be finite"),

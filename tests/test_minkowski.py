@@ -277,6 +277,17 @@ def test_decompose_recompose_random():
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("c", [1e200, 1e-300])
+def test_decompose_pure_boost_at_an_extreme_c(rng, c):
+    """|v|^2 is beyond float range at c = 1e200, and the entries of v v^T underflow to zero at c = 1e-300."""
+    units = UnitsConfig(c)
+    v = 0.75 * c * rand_unit(rng)
+    rot, v_out, parity, time_reversal = decompose(boost_matrix(v, units), units)
+    assert (parity, time_reversal) == (1, 1)
+    np.testing.assert_allclose(rot, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(v_out, v, rtol=1e-12, atol=1e-15 * c)
+
+
 def test_decompose_rejects_a_boost_at_c_in_floats():
     # a valid Lorentz matrix whose time column rounds to |v| = c: tanh(30) is 1.0 in floats
     entries = np.eye(4)

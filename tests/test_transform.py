@@ -321,15 +321,24 @@ def test_boost_routes_match_the_reference(rng):
     assert worst <= REFERENCE_RTOL
 
 
-@pytest.mark.parametrize("c", [2.0, 299792458.0])
+@pytest.mark.parametrize("c", [2.0, 299792458.0, 1e200])
 def test_boost_routes_match_the_reference_at_c(rng, c):
-    """The c = 1 test's draw with omega and v scaled by c: v.k/omega and |v|/c are distributed exactly as there."""
+    """The c = 1 test's draw with omega and v scaled by c: v.k/omega and |v|/c are distributed exactly as there.
+    At c = 1e200, |v|^2 is beyond float range."""
     worst = 0.0
     for _ in range(200):
         kw, v = guarded_setup(rng, vmax=0.9)
         s = FrameSample(rand_sigma(rng), Wavevector4(kw.omega * c, kw.kvec))
         worst = max(worst, *reference_errors(s, v * c, c))
     assert worst <= REFERENCE_RTOL
+
+
+def test_boost_routes_match_the_reference_at_a_tiny_c(rng):
+    """At c = 1e-300 the entries of v v^T underflow to zero; the boost's spatial block must not lose them."""
+    c = 1e-300
+    v = 0.5 * c * rand_unit(rng)
+    s = FrameSample(rand_sigma(rng), Wavevector4(1.0, np.array([0.5, -0.2, 0.1])))
+    assert max(reference_errors(s, v, c)) <= REFERENCE_RTOL
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: gamma = 1/sqrt(1 - |v|^2/c^2) cancels near c, "

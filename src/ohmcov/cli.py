@@ -257,12 +257,12 @@ def _row(layout: tuple, kw: Wavevector4, *leaves) -> list:
 
 
 def _write(path: str | None, chunks) -> None:
-    """Write the text chunks, in order, to path or to stdout."""
+    """Write the text chunks, in order, to stdout, or to path as their UTF-8 bytes: the same on every platform."""
     if path is None:
         sys.stdout.writelines(chunks)
     else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+        with open(path, "wb") as fh:
+            fh.writelines(chunk.encode() for chunk in chunks)
 
 
 def _route(model: MaterialModel, bp: BoostParams, omega: np.ndarray, k: np.ndarray) -> tuple:
@@ -503,8 +503,61 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # built on the first call, from the cached parser
+def _commands() -> dict:
+    """Each command's namespace before its options are read, as argparse fills it, and the long options _parse_args
+    reads, by option string: those that store one value and store_true flags.  A command with a positional, a required
+    option, a text default, a mutually exclusive group or argument files, which argparse fills, checks, converts or
+    reads, is left out; every command is, where the top-level parser has an option or a default of its own."""
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if parser._defaults or any(a is not sub and type(a) is not argparse._HelpAction for a in parser._actions):
+        return {}
+    commands = {}
+    for name, p in sub.choices.items():
+        defaults = {a.dest: a.default for a in p._actions if argparse.SUPPRESS not in (a.dest, a.default)}
+        if p._mutually_exclusive_groups or p.fromfile_prefix_chars or any(
+                a.required or not a.option_strings or isinstance(a.default, str) and a.dest in defaults
+                for a in p._actions):
+            continue
+        options = {s: a for a in p._actions for s in a.option_strings if s.startswith("--") and (
+            type(a) is argparse._StoreAction and a.nargs is None or type(a) is argparse._StoreTrueAction)}
+        commands[name] = {sub.dest: name, **defaults, **p._defaults}, options
+    return commands
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv's namespace.  It is read here from the command's own options where every argument is a string: an option
+    that _commands lists, written as --opt=value, as --opt value with a value not starting with "-", or as a bare flag,
+    whose value passes the option's type and choices.  Every other argv goes to argparse, which alone writes help,
+    usage and errors, and resolves abbreviations, "--" and values starting with "-"."""
+    command = _commands().get(argv[0]) if argv and all(isinstance(arg, str) for arg in argv) else None
+    if command is not None:
+        (defaults, options), rest = command, iter(argv[1:])
+        args = argparse.Namespace(**defaults)
+        for arg in rest:
+            name, eq, value = arg.partition("=")
+            action = options.get(name)
+            if action is None or value == "--" or eq and action.nargs == 0:  # argparse drops "--"; a flag takes none
+                break
+            if action.nargs is None and not eq:
+                value = next(rest, "-")
+                if value.startswith("-"):
+                    break
+            try:
+                value = action.const if action.nargs == 0 else value if action.type is None else action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                break
+            if action.choices is not None and value not in action.choices:
+                break
+            setattr(args, action.dest, value)
+        else:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         # numpy's floating-point warnings are off: every computed value is checked (the route's faults, _row, the
         # verify suites' rule that NaN fails), so an overflow or an invalid value surfaces as that check's error

@@ -260,11 +260,12 @@ class BoostParams:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "gamma", gamma if v.ndim == 2 else float(gamma))
         object.__setattr__(self, "lambda_hat", lhat)
+        object.__setattr__(self, "_scaled_v", (u, e))  # v as u 2^e, for the inverse block and the matrix
 
     @property
     def lambda_hat_inv(self) -> np.ndarray:
         """Inverse spatial block, 1 + (1/gamma - 1) v v^T / |v|^2."""
-        u = _scaled(self.v)[0]
+        u = self._scaled_v[0]
         u2 = _dots(u, u)
         return _EYE3 + _mat(1.0 / self.gamma - 1.0) * _outer(u, u) / _mat(np.where(u2 == 0.0, 1.0, u2))
 
@@ -273,9 +274,13 @@ class BoostParams:
         built and checked once per BoostParams."""
         if "_matrix" not in self.__dict__:
             gamma = np.asarray(self.gamma)
+            e = self._scaled_v[1]
             m = np.empty(self.v.shape[:-1] + (4, 4))
             m[..., 0, 0] = gamma
-            m[..., 0, 1:] = -gamma[..., None] * self.v / self.units.c
+            # gamma v / c as gamma (v 2^-k) / (c 2^-k), k = max(e, 0): every |v_i 2^-k| < 1, so no product overflows,
+            # and c 2^-k lies in [min(c, 1/2), c], as c > |v| >= 2^(e - 1).  Where every |v_i| < 1, k = 0.
+            k = np.maximum(e, 0)
+            m[..., 0, 1:] = -gamma[..., None] * np.ldexp(self.v, -k[..., None]) / np.ldexp(self.units.c, -k)[..., None]
             m[..., 1:, 0] = m[..., 0, 1:]
             m[..., 1:, 1:] = self.lambda_hat
             object.__setattr__(self, "_matrix", LorentzMatrix(m))

@@ -21,7 +21,6 @@ max-entry magnitudes with a 1e-14 absolute floor.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +145,7 @@ def _transformed(owner: str, kernel, sigma: np.ndarray, at: Wavevector4, boosts:
 # check rejects, and replay(i) makes the check on point i alone, raising its error.
 def _flagged(faults: list) -> np.ndarray:
     """The points some check rejects."""
-    return functools.reduce(np.logical_or, [mask for mask, _ in faults])
+    return np.logical_or.reduce([mask for mask, _ in faults])
 
 
 def _raise(faults: list, i: int | None = None) -> None:

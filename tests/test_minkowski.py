@@ -288,6 +288,14 @@ def test_decompose_pure_boost_at_an_extreme_c(rng, c):
     np.testing.assert_allclose(v_out, v, rtol=1e-12, atol=1e-15 * c)
 
 
+def test_boost_matrix_where_gamma_v_is_beyond_float_range():
+    """gamma |v| = 2.06e308 at |v| = 0.9 c = 9e307: the time column gamma v / c is formed without overflow and
+    without a numpy warning (an error under this suite's filter), with the entries of the same boost at c = 1."""
+    m = BoostParams(np.array([9e307, 0.0, 0.0]), UnitsConfig(1e308)).matrix().entries
+    assert np.isfinite(m).all()
+    np.testing.assert_allclose(m, BoostParams(np.array([0.9, 0.0, 0.0])).matrix().entries, rtol=1e-15)
+
+
 def test_decompose_rejects_a_boost_at_c_in_floats():
     # a valid Lorentz matrix whose time column rounds to |v| = c: tanh(30) is 1.0 in floats
     entries = np.eye(4)
